@@ -52,10 +52,6 @@ class SimResult:
     delivered_bits: float
     plane_bits: dict
 
-    def summary(self):
-        return (f"dct_s={self.dct_s:.6f} flows={len(self.records)} "
-                f"spills={self.spill_count} completed={self.completed}")
-
 
 class _RotorPlane:
     """Slotted fluid rotor service with bounded two-hop relaying.
@@ -142,7 +138,9 @@ class _RotorPlane:
         self.queue[i, j] = q - d1
         cap -= d1
         self.delivered[i, j] += d1
-        self.residual -= float(d1.sum())
+        sent = float(d1.sum())
+        self.residual -= sent
+        self.sim.plane_bits["rotor"] += sent
         # second hop of previously relayed bits
         rt = self.relay_total[i, j]
         d2 = np.minimum(rt, cap)
@@ -166,6 +164,7 @@ class _RotorPlane:
             take = min(bits, amount)
             self.delivered[src, dst] += take
             self.residual -= take
+            self.sim.plane_bits["rotor"] += take
             amount -= take
             if take >= bits - _TOL / 2:
                 chunks.popleft()
@@ -270,6 +269,60 @@ class _CachePlane:
             self._start(s, fid, key[0], key[1], size, now)
 
 
+def _max_min_fill(flows, capacity):
+    """Set every flow's rate to its max-min fair share by progressive filling.
+
+    ``flows`` maps a flow id to its ``[residual, rate, path_edges, n_hops]``
+    state and ``capacity`` maps an edge to its bits per second. The link
+    with the smallest fair share (capacity left / unfixed flows on it, ties
+    to the smallest edge) freezes its flows at that share, which is taken
+    from the capacity left on their other links (Bertsekas & Gallager,
+    *Data Networks*, section 6.5.2). A heap of ``(share, edge)`` keys finds
+    that link; a key is pushed whenever a link's share changes, and a
+    popped key that no longer matches its link's share is skipped. Heap
+    order is ``min()``'s order over the same tuples, and every subtraction
+    in a level uses the same share, so the rates are bit-identical to a
+    rescan of every loaded link per level. Returns the bottleneck edges in
+    the order they were frozen.
+    """
+    cap = {}
+    on_edge = {}
+    for fid, state in flows.items():
+        for e in state[2]:
+            users = on_edge.get(e)
+            if users is None:
+                on_edge[e] = {fid}
+                cap[e] = capacity[e]
+            else:
+                users.add(fid)
+    heap = [(cap[e] / len(users), e) for e, users in on_edge.items()]
+    heapq.heapify(heap)
+    order = []
+    unfixed = len(flows)
+    while unfixed:
+        share, edge = heapq.heappop(heap)
+        users = on_edge.get(edge)
+        if not users or share != cap[edge] / len(users):
+            continue
+        del on_edge[edge]
+        order.append(edge)
+        unfixed -= len(users)
+        changed = set()
+        for fid in users:
+            state = flows[fid]
+            state[1] = share
+            for e in state[2]:
+                if e != edge:
+                    on_edge[e].discard(fid)
+                    cap[e] -= share
+                    changed.add(e)
+        for e in changed:
+            left = len(on_edge[e])
+            if left:
+                heapq.heappush(heap, (cap[e] / left, e))
+    return order
+
+
 class _ExpanderPlane:
     """Fluid max-min fair service of small flows on sampled shortest paths."""
 
@@ -283,7 +336,7 @@ class _ExpanderPlane:
             self.capacity[(int(u), int(v))] = float(mult[u, v]) * config.r
         self.dist = graph.distances()
         self.adj = [np.nonzero(row)[0] for row in graph.adjacency()]
-        self._path_counts = {}
+        self._hop_tables = {}        # dst -> _hops_to(dst)
         self.rng = rng
         self.flows = {}              # fid -> [residual, rate, path_edges, n_hops]
         self.last_t = 0.0
@@ -298,32 +351,53 @@ class _ExpanderPlane:
         self.residual += size
         self._recompute(now)
 
-    def _counts_for(self, dst):
-        counts = self._path_counts.get(dst)
-        if counts is None:
+    def _hops_to(self, dst):
+        """Shortest-path next hops toward ``dst`` from every node.
+
+        Returns ``(counts, start, cand, cdf)``: ``counts[v]`` shortest paths
+        lead from v to ``dst``, and v's next hop is drawn from
+        ``cand[start[v]:start[v + 1]]`` in proportion to the paths through
+        each. Its slice of ``cdf`` is built exactly as
+        ``Generator.choice(cand, p=w / w.sum())`` builds it, so
+        ``rng.random()`` + ``searchsorted(side="right")`` makes the same
+        draw ``choice`` would.
+        """
+        table = self._hop_tables.get(dst)
+        if table is None:
+            n = self.graph.n
             d = self.dist[:, dst]
-            counts = np.zeros(self.graph.n)
+            counts = np.zeros(n)
             counts[dst] = 1.0
+            hops = {}
             for v in np.argsort(d):
                 v = int(v)
                 if v == dst or not np.isfinite(d[v]):
                     continue
                 nxt = self.adj[v]
-                counts[v] = counts[nxt[self.dist[nxt, dst] == d[v] - 1]].sum()
-            self._path_counts[dst] = counts
-        return counts
+                nxt = nxt[self.dist[nxt, dst] == d[v] - 1]
+                w = counts[nxt]
+                counts[v] = w.sum()
+                cdf = (w / counts[v]).cumsum()
+                cdf /= cdf[-1]
+                hops[v] = (nxt, cdf)
+            start, cand, cdf = [0], [], []
+            for v in range(n):
+                if v in hops:
+                    cand.extend(hops[v][0].tolist())
+                    cdf.extend(hops[v][1].tolist())
+                start.append(len(cand))
+            table = self._hop_tables[dst] = (counts, start, cand, np.array(cdf))
+        return table
 
     def _sample_path(self, src, dst):
-        counts = self._counts_for(dst)
+        counts, start, cand, cdf = self._hops_to(dst)
         if counts[src] == 0:
             raise ValueError(f"no path from {src} to {dst} on the expander")
         path = [src]
         v = src
         while v != dst:
-            nxt = self.adj[v]
-            nxt = nxt[self.dist[nxt, dst] == self.dist[v, dst] - 1]
-            w = counts[nxt]
-            v = int(self.rng.choice(nxt, p=w / w.sum()))
+            lo, hi = start[v], start[v + 1]
+            v = cand[lo + cdf[lo:hi].searchsorted(self.rng.random(), side="right")]
             path.append(v)
         return path
 
@@ -342,26 +416,7 @@ class _ExpanderPlane:
         self.version += 1
         if not self.flows:
             return
-        # progressive filling: repeatedly freeze the tightest link's flows
-        cap = {}
-        on_edge = {}
-        for fid, state in self.flows.items():
-            for e in state[2]:
-                cap.setdefault(e, self.capacity[e])
-                on_edge.setdefault(e, set()).add(fid)
-        unfixed = set(self.flows)
-        while unfixed:
-            share, edge = min(
-                (c / len(on_edge[e]), e) for e, c in cap.items() if on_edge.get(e)
-            )
-            for fid in list(on_edge[edge]):
-                self.flows[fid][1] = share
-                unfixed.discard(fid)
-                for e in self.flows[fid][2]:
-                    on_edge[e].discard(fid)
-                    if e != edge:
-                        cap[e] -= share
-            del cap[edge]
+        _max_min_fill(self.flows, self.capacity)
         horizon = min(
             state[0] / state[1] for state in self.flows.values() if state[1] > 0
         )
@@ -376,6 +431,7 @@ class _ExpanderPlane:
             st = self.flows.pop(fid)
             self.residual -= st[0]   # tiny float remainder
             self.sim.delivered_bits += st[0]
+            self.sim.plane_bits["expander"] += st[0]
             self.sim.record(fid, now, "expander", st[3])
         self._recompute(now)
 

@@ -1,0 +1,177 @@
+"""The expander plane's heap-driven max-min filler against the dict/set
+progressive filler and choice-based path sampler it replaced.
+
+The oracles below are the previous ``_ExpanderPlane`` code, kept verbatim
+apart from being lifted out of the class (and, for the filler, recording
+the bottleneck edges in the order it froze them). The arithmetic of the
+two fillers is the same, so rates must agree exactly, not approximately.
+"""
+import copy
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ocsnet import config_io, simulator, traffic
+from ocsnet.model import NetworkConfig, validate
+from ocsnet.topology import build_expander
+
+
+def oracle_fill(flows, capacity):
+    """Progressive filling by a full rescan of the loaded edges per level."""
+    order = []
+    cap = {}
+    on_edge = {}
+    for fid, state in flows.items():
+        for e in state[2]:
+            cap.setdefault(e, capacity[e])
+            on_edge.setdefault(e, set()).add(fid)
+    unfixed = set(flows)
+    while unfixed:
+        share, edge = min(
+            (c / len(on_edge[e]), e) for e, c in cap.items() if on_edge.get(e)
+        )
+        order.append(edge)
+        for fid in list(on_edge[edge]):
+            flows[fid][1] = share
+            unfixed.discard(fid)
+            for e in flows[fid][2]:
+                on_edge[e].discard(fid)
+                if e != edge:
+                    cap[e] -= share
+        del cap[edge]
+    return order
+
+
+def oracle_counts(self, dst):
+    """Number of shortest paths from every node to ``dst``."""
+    d = self.dist[:, dst]
+    counts = np.zeros(self.graph.n)
+    counts[dst] = 1.0
+    for v in np.argsort(d):
+        v = int(v)
+        if v == dst or not np.isfinite(d[v]):
+            continue
+        nxt = self.adj[v]
+        counts[v] = counts[nxt[self.dist[nxt, dst] == d[v] - 1]].sum()
+    return counts
+
+
+def oracle_sample_path(self, src, dst):
+    """Shortest path drawn hop by hop with ``Generator.choice``."""
+    counts = oracle_counts(self, dst)
+    if counts[src] == 0:
+        raise ValueError(f"no path from {src} to {dst} on the expander")
+    path = [src]
+    v = src
+    while v != dst:
+        nxt = self.adj[v]
+        nxt = nxt[self.dist[nxt, dst] == self.dist[v, dst] - 1]
+        w = counts[nxt]
+        v = int(self.rng.choice(nxt, p=w / w.sum()))
+        path.append(v)
+    return path
+
+
+def _plane(n, k_s, graph_seed, rng_seed):
+    config = validate(NetworkConfig(n=n, k_s=k_s, k_r=0, k_c=0, r=10e9,
+                                    delta=100e-6, R_r=10e-6, R_c=15e-3))
+    return simulator._ExpanderPlane(build_expander(n, k_s, graph_seed), config,
+                                    np.random.default_rng(rng_seed), None)
+
+
+def _flows(paths):
+    return {fid: [1.0, 0.0, list(zip(p[:-1], p[1:])), len(p) - 1]
+            for fid, p in enumerate(paths)}
+
+
+def _assert_same_filling(flows, capacity):
+    expect, got = copy.deepcopy(flows), copy.deepcopy(flows)
+    oracle_order = oracle_fill(expect, capacity)
+    order = simulator._max_min_fill(got, capacity)
+    assert order == oracle_order
+    assert {fid: st[1] for fid, st in got.items()} == {
+        fid: st[1] for fid, st in expect.items()}
+    return order
+
+
+# capacities that tie often and round in the last bit when shared
+_CAPS = st.sampled_from([1.0, 2.0, 3.0, 0.1, 0.3, 0.7, 1e10, 2e10])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_heap_filling_matches_oracle_on_random_expanders(data):
+    n = data.draw(st.integers(3, 16), label="n")
+    k_s = data.draw(st.integers(1, min(4, n - 1)), label="k_s")
+    plane = _plane(n, k_s, data.draw(st.integers(0, 999), label="graph_seed"),
+                   data.draw(st.integers(0, 999), label="rng_seed"))
+    pairs = [(s, d) for s in range(n) for d in range(n)
+             if s != d and np.isfinite(plane.dist[s, d])]
+    picked = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=40),
+                       label="pairs")
+    paths = [plane._sample_path(s, d) for s, d in picked]
+    # flows that share their whole path with an earlier flow
+    dup = data.draw(st.lists(st.integers(0, len(paths) - 1), max_size=10), label="dup")
+    paths += [paths[i] for i in dup]
+    capacity = dict(plane.capacity)
+    if data.draw(st.booleans(), label="redraw_caps"):
+        capacity = {e: data.draw(_CAPS) for e in sorted(capacity)}
+    _assert_same_filling(_flows(paths), capacity)
+
+
+@pytest.mark.parametrize("paths, capacity, order", [
+    # three links at share 5.0: the smallest edge wins each tie
+    ([[2, 3], [0, 1], [0, 1], [1, 0]],
+     {(0, 1): 10.0, (1, 0): 5.0, (2, 3): 5.0},
+     [(0, 1), (1, 0), (2, 3)]),
+    # a tie whose winner takes its share from the other tied link, which
+    # then keeps the same share with one flow fewer
+    ([[0, 1, 2], [1, 2], [0, 1]],
+     {(0, 1): 2.0, (1, 2): 2.0},
+     [(0, 1), (1, 2)]),
+    # a tie broken on the second endpoint, then a share left by rounding
+    ([[3, 1], [3, 0, 2], [3, 0], [0, 2]],
+     {(3, 1): 0.1, (3, 0): 0.2, (0, 2): 0.3},
+     [(3, 0), (3, 1), (0, 2)]),
+])
+def test_heap_filling_matches_oracle_on_hand_built_ties(paths, capacity, order):
+    assert _assert_same_filling(_flows(paths), capacity) == order
+
+
+def test_cached_cdf_sampling_matches_choice_draw_for_draw():
+    for graph_seed in range(5):
+        new, old = _plane(16, 3, graph_seed, 7), _plane(16, 3, graph_seed, 7)
+        pairs = [(s, d) for s in range(16) for d in range(16)
+                 if s != d and np.isfinite(new.dist[s, d])]
+        for s, d in pairs * 2:
+            assert new._sample_path(s, d) == oracle_sample_path(old, s, d)
+        assert new.rng.random() == old.rng.random()
+
+
+def test_streamed_default_mix_is_unchanged_under_the_oracle(monkeypatch):
+    mapping = config_io.load_config(overrides={
+        "network.n": 16, "network.k_s": 2, "network.k_r": 4, "network.k_c": 4,
+        "traffic.distribution.kind": "default-mix", "traffic.load_x": 0.3,
+        "traffic.window_s": 8e-3,
+    })
+    cfg = config_io.network_config(mapping)
+    flows = traffic.generate(config_io.traffic_spec(mapping, seed=1), cfg)
+    graph = build_expander(cfg.n, cfg.k_s, 0)
+    shipped = simulator.run(cfg, flows, seed=1, expander=graph)
+
+    calls = []
+
+    def counted_oracle(flows, capacity):
+        calls.append(len(flows))
+        return oracle_fill(flows, capacity)
+
+    monkeypatch.setattr(simulator, "_max_min_fill", counted_oracle)
+    monkeypatch.setattr(simulator._ExpanderPlane, "_sample_path", oracle_sample_path)
+    oracle = simulator.run(cfg, flows, seed=1, expander=graph)
+
+    assert len(calls) > 100 and max(calls) > 1
+    assert {rec.plane for rec in shipped.records} == {"rotor", "cache", "expander"}
+    assert shipped.completed and oracle.completed
+    assert shipped.records == oracle.records
+    assert shipped.dct_s == oracle.dct_s

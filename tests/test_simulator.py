@@ -60,6 +60,14 @@ class TestRun:
         assert res.delivered_bits == pytest.approx(res.injected_bits, rel=1e-9)
         assert res.injected_bits == sum(f.size_bits for f in flows)
 
+    def test_plane_bits_add_up_to_delivered_bits(self):
+        cfg = cfg_of(16, 2, 8, 2)
+        spec = TrafficSpec("uniform", 0.4, _mixed_dist(cfg), window_s=0.004, seed=3)
+        res = simulator.run_batch(cfg, generate(spec, cfg), seed=3)
+        assert {rec.plane for rec in res.records} == {"rotor", "cache", "expander"}
+        assert sum(res.plane_bits.values()) == pytest.approx(res.delivered_bits, rel=1e-9)
+        assert res.plane_bits["rotor"] > 0
+
 
 def _mixed_dist(cfg):
     return FlowSizeDistribution.discrete(
