@@ -309,8 +309,14 @@ def throughput_star(system, x, phi, distribution=None, config=None, epl=None,
 
 
 def report(x, phi, phi_m, distribution: FlowSizeDistribution,
-           config: NetworkConfig, epl) -> AnalyticsReport:
-    """Evaluate every closed form at one (x, phi, phi_m) grid point."""
+           config: NetworkConfig, epl, epl_static=None) -> AnalyticsReport:
+    """Evaluate every closed form at one (x, phi, phi_m) grid point.
+
+    ``epl`` is the mean path length of an expander built from all k
+    switches; ``epl_static`` that of the degree-k_s expander on which the
+    hybrid serves its small flows, needed when the distribution has
+    small-flow mass.
+    """
     b_l = distribution.class_byte_fraction(FlowClass.LARGE, config)
     b_m = distribution.class_byte_fraction(FlowClass.MEDIUM, config)
     total = config.k - config.k_s
@@ -320,7 +326,7 @@ def report(x, phi, phi_m, distribution: FlowSizeDistribution,
         k_r_star, k_c_star = (total, 0) if b_l <= 0 else (0, total)
 
     if x > 0:
-        dct_hyb = dct_hybrid_uniform(x, distribution, phi_m, config, epl=epl,
+        dct_hyb = dct_hybrid_uniform(x, distribution, phi_m, config, epl=epl_static,
                                      split=(k_r_star, k_c_star))
         alpha = hybrid_alpha(x, distribution, k_c_star, config) if k_c_star else 0.0
         l_exp = throughput_star("expander", x, phi, epl=epl)

@@ -8,6 +8,7 @@ deterministic CSV with fixed headers.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 import os
 
@@ -15,7 +16,7 @@ import click
 import numpy as np
 
 from . import analytics, config_io, simulator, topology, traffic
-from .model import FlowClass, NetworkConfig, validate
+from .model import validate
 
 ANALYZE_HEADER = [
     "x", "phi", "phi_m", "dct_expander_s", "dct_rotor_s", "dct_hybrid_s",
@@ -88,6 +89,8 @@ def analyze(config_path, profile, sweep, seeds, out_dir):
     dist = config_io.distribution(mapping)
     var, grid = parse_sweep(sweep)
     epl = topology.mean_expected_path_length(config.n, config.k, range(seeds))
+    epl_static = (topology.mean_expected_path_length(config.n, config.k_s, range(seeds))
+                  if config.k_s else None)
     phi = float(mapping.get("traffic.phi", 1.0))
     phi_m = float(mapping.get("traffic.phi_m", phi))
     base_x = float(mapping.get("traffic.load_x", 0.5))
@@ -100,13 +103,9 @@ def analyze(config_path, profile, sweep, seeds, out_dir):
         elif var == "phi":
             p = pm = value
         else:  # k_c
-            cfg = validate(NetworkConfig(
-                n=config.n, k_s=config.k_s, k_r=config.k_r, k_c=int(value),
-                r=config.r, delta=config.delta, R_r=config.R_r, R_c=config.R_c,
-                medium_threshold_bits=config.medium_threshold_bits,
-                large_threshold_bits=config.large_threshold_bits))
+            cfg = validate(dataclasses.replace(config, k_c=int(value)))
         try:
-            rep = analytics.report(x, p, pm, dist, cfg, epl)
+            rep = analytics.report(x, p, pm, dist, cfg, epl, epl_static)
         except ValueError as exc:
             raise click.ClickException(f"grid point {var}={value}: {exc}")
         rows.append([_fmt(getattr(rep, col)) for col in ANALYZE_HEADER])
@@ -126,21 +125,17 @@ def simulate(config_path, profile, sweep, seeds, out_dir, horizon_s):
     """Generate traffic, simulate each grid point x seed, compare to the model."""
     mapping = _load(config_path, profile)
     config = config_io.network_config(mapping)
-    dist = config_io.distribution(mapping)
     var, grid = parse_sweep(sweep)
     if var not in ("load_x", "active_fraction_x"):
         raise click.ClickException("simulate sweeps the load only (load_x)")
     epl_graph = topology.build_expander(config.n, config.k_s, 0) if config.k_s else None
     os.makedirs(out_dir, exist_ok=True)
 
+    base = config_io.traffic_spec(mapping)
     rows = []
     for x in grid:
-        for seed in range(seeds):
-            spec = traffic.TrafficSpec(
-                model=mapping.get("traffic.model", "uniform"),
-                load_x=x, distribution=dist,
-                per_tor_rate_L=float(mapping.get("traffic.per_tor_rate_l", 1.0)),
-                window_s=float(mapping.get("traffic.window_s", 1.0)), seed=seed)
+        for seed in range(base.seed, base.seed + seeds):
+            spec = dataclasses.replace(base, load_x=x, seed=seed)
             flows = traffic.generate(spec, config)
             tag = f"x{x:g}_seed{seed}"
             traffic.write_trace(flows, os.path.join(out_dir, f"trace_{tag}.csv"))
@@ -149,7 +144,8 @@ def simulate(config_path, profile, sweep, seeds, out_dir, horizon_s):
             _write_csv(out_dir, f"flows_{tag}.csv", simulator.RESULT_HEADER,
                        [[rec.flow_id, _fmt(rec.arrival_s), _fmt(rec.completion_s),
                          rec.plane, rec.hops] for rec in result.records])
-            ana = _analytic_dct(config, dist, flows, x, epl_graph) * spec.window_s
+            ana = _analytic_dct(config, spec.distribution, flows, x, epl_graph) \
+                * spec.window_s
             rel = (result.dct_s - ana) / ana if ana > 0 else math.nan
             rows.append([_fmt(x), seed, _fmt(result.dct_s), _fmt(ana),
                          _fmt(rel) if result.completed else "did-not-complete",

@@ -131,13 +131,6 @@ class FlowSizeDistribution:
     def class_byte_fraction(self, cls_, config):
         return self.byte_fraction_between(*self.class_bounds(cls_, config))
 
-    def mean_reciprocal_between(self, lo, hi):
-        """Byte-weighted E[1/size] restricted to [lo, hi): prob mass over byte mass."""
-        mass = self.byte_mass_between(lo, hi)
-        if mass <= 0:
-            raise ValueError(f"distribution has no mass on [{lo}, {hi})")
-        return self.prob_between(lo, hi) / mass
-
     def mean_reciprocal_large(self, config):
         lo, hi = self.class_bounds(FlowClass.LARGE, config)
         # normalize within the large class

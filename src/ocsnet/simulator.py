@@ -74,20 +74,19 @@ class _RotorPlane:
         self.relay_total = np.zeros((n, n))
         self.relay_chunks = {}
         self.delivered = np.zeros((n, n))
-        self.injected_pair = np.zeros((n, n))
+        self.injected_pair = {}         # (src, dst) -> bits admitted so far
         self.pair_used_relay = np.zeros((n, n), dtype=bool)
         self.pair_flows = {}
         self.next_target = np.full((n, n), np.inf)
         self.pending = []               # (arrival, src, dst, bits, fid)
         self.pending_bits = 0.0
-        self.residual = 0.0
+        self.in_network = 0.0           # queue + relay bits, as of the last slot end
         self.scheduled = False
         self._ids = np.arange(n)
 
     def inject(self, fid, src, dst, bits, now):
         self.pending.append((now, src, dst, float(bits), fid))
         self.pending_bits += bits
-        self.residual += bits
         self._ensure_scheduled(now)
 
     def _ensure_scheduled(self, now):
@@ -97,35 +96,52 @@ class _RotorPlane:
         self.sim.schedule(slot * self.period + self.delta, "rotor_slot", slot)
         self.scheduled = True
 
-    def backlog(self):
-        return self.queue.sum() + self.relay_total.sum() + self.pending_bits
+    @property
+    def residual(self):
+        """Bits injected and not yet delivered, read from the plane's state."""
+        return self.in_network + self.pending_bits
 
     def on_slot(self, slot, t_end):
         slot_start = t_end - self.delta
         if self.pending:
-            keep = []
-            for item in self.pending:
-                if item[0] <= slot_start + 1e-12:
-                    _, src, dst, bits, fid = item
-                    self.queue[src, dst] += bits
-                    self.injected_pair[src, dst] += bits
-                    self.pending_bits -= bits
-                    dq = self.pair_flows.setdefault((src, dst), deque())
-                    dq.append((fid, self.injected_pair[src, dst]))
-                    if len(dq) == 1:
-                        self.next_target[src, dst] = dq[0][1]
-                else:
-                    keep.append(item)
-            self.pending = keep
+            self._admit(slot_start)
         for s in range(self.k_r):
             shift = (slot + s) % self.n_match + 1
             self._serve_switch(shift)
         self._complete(t_end)
-        if self.backlog() > _TOL:
+        self.in_network = self.queue.sum() + self.relay_total.sum()
+        if self.residual > _TOL:
             self.sim.schedule((slot + 1) * self.period + self.delta,
                               "rotor_slot", slot + 1)
         else:
             self.scheduled = False
+
+    def _admit(self, slot_start):
+        """Queue the pending flows that arrived by ``slot_start``.
+
+        ``np.add.at`` adds repeated pairs in index order, so each queue
+        entry gets the same float sums as one ``+=`` per flow.
+        """
+        keep, src, dst, bits = [], [], [], []
+        injected = self.injected_pair
+        for item in self.pending:
+            if item[0] <= slot_start + 1e-12:
+                _, s, d, b, fid = item
+                self.pending_bits -= b
+                pair = (s, d)
+                total = injected[pair] = injected.get(pair, 0.0) + b
+                dq = self.pair_flows.setdefault(pair, deque())
+                dq.append((fid, total))
+                if len(dq) == 1:
+                    self.next_target[s, d] = total
+                src.append(s)
+                dst.append(d)
+                bits.append(b)
+            else:
+                keep.append(item)
+        self.pending = keep
+        if bits:
+            np.add.at(self.queue, (src, dst), bits)
 
     def _serve_switch(self, shift):
         n = self.n
@@ -139,7 +155,7 @@ class _RotorPlane:
         cap -= d1
         self.delivered[i, j] += d1
         sent = float(d1.sum())
-        self.residual -= sent
+        self.sim.delivered_bits += sent
         self.sim.plane_bits["rotor"] += sent
         # second hop of previously relayed bits
         rt = self.relay_total[i, j]
@@ -163,7 +179,7 @@ class _RotorPlane:
             src, bits = chunks[0]
             take = min(bits, amount)
             self.delivered[src, dst] += take
-            self.residual -= take
+            self.sim.delivered_bits += take
             self.sim.plane_bits["rotor"] += take
             amount -= take
             if take >= bits - _TOL / 2:
@@ -449,8 +465,6 @@ class Simulator:
         self.audit = audit
         self.rng = np.random.default_rng(seed)
         self._heap = []
-        self._seq = 0
-        self.records = []
         self.spill_count = 0
         self.injected_bits = 0.0
         self.delivered_bits = 0.0
@@ -462,11 +476,17 @@ class Simulator:
         self._clock = 0.0
 
     def schedule(self, t, kind, payload):
-        heapq.heappush(self._heap, (t, self._seq, kind, payload))
-        self._seq += 1
+        """Queue an event. Arrival i sorts as ``(t, i)``; the k-th other
+        event as ``(t, len(flows) + k)``."""
+        if kind == "arrival":
+            seq = payload[0]
+        else:
+            seq = self._seq
+            self._seq += 1
+        heapq.heappush(self._heap, (t, seq, kind, payload))
 
     def record(self, fid, t, plane, hops):
-        self.records.append(FlowRecord(fid, self._arrivals[fid], t, plane, hops))
+        self.records[fid] = FlowRecord(fid, self._arrivals[fid], t, plane, hops)
 
     def _get_expander(self):
         if self.expander is None:
@@ -477,10 +497,31 @@ class Simulator:
             self.expander = _ExpanderPlane(graph, self.config, self.rng, self)
         return self.expander
 
-    def run(self, flows) -> SimResult:
-        self._arrivals = {i: f.arrival_s for i, f in enumerate(flows)}
-        for i, f in enumerate(flows):
-            self.schedule(f.arrival_s, "arrival", (i, f))
+    def run(self, flows, *, batch=False) -> SimResult:
+        """Serve ``flows`` until all complete or the horizon passes.
+
+        ``batch`` serves every flow as arriving at 0.0. Arrivals enter the
+        heap one at a time in ``(arrival_s, index)`` order, the next one
+        when the previous one pops, so the heap holds the events of the
+        flows in flight, and events pop in the same order as if every
+        arrival had been pushed up front.
+        """
+        n = len(flows)
+        if batch:
+            self._arrivals = [0.0] * n
+            order = iter(range(n))
+        else:
+            self._arrivals = [f.arrival_s for f in flows]
+            order = iter(sorted(range(n), key=self._arrivals.__getitem__))
+        self._seq = n
+        self.records = [None] * n
+
+        def schedule_next_arrival():
+            i = next(order, None)
+            if i is not None:
+                self.schedule(self._arrivals[i], "arrival", (i, flows[i]))
+
+        schedule_next_arrival()
         completed = True
         while self._heap:
             t, _, kind, payload = heapq.heappop(self._heap)
@@ -489,22 +530,23 @@ class Simulator:
                 break
             self._clock = t
             if kind == "arrival":
+                schedule_next_arrival()
                 self._on_arrival(payload[0], payload[1], t)
             elif kind == "rotor_slot":
                 self.rotor.on_slot(payload, t)
-                self.delivered_bits = self.injected_bits - self._residual()
             elif kind == "cache_done":
                 self.cache.on_done(payload, t)
             elif kind == "expander":
                 self.expander.on_event(payload, t)
             if self.audit:
                 self._check_conservation()
-        dct = max((rec.completion_s for rec in self.records), default=0.0)
+        records = tuple(filter(None, self.records))
+        dct = max((rec.completion_s for rec in records), default=0.0)
         return SimResult(
             dct_s=dct,
-            records=tuple(sorted(self.records, key=lambda rec: rec.flow_id)),
+            records=records,
             spill_count=self.spill_count,
-            completed=completed and len(self.records) == len(flows),
+            completed=completed and len(records) == n,
             injected_bits=self.injected_bits,
             delivered_bits=self.delivered_bits,
             plane_bits=dict(self.plane_bits),
@@ -571,12 +613,10 @@ def run(config: NetworkConfig, flows, *, seed=0, expander=None,
 
 
 def run_batch(config: NetworkConfig, flows, **kwargs) -> SimResult:
-    """Serve the accumulated demand matrix: all arrivals reset to time zero.
+    """Serve the accumulated demand matrix: every flow arrives at time zero.
 
     This matches the completion-time metric, which clocks the time to
     drain the demand collected over a window, not the streaming tail.
+    ``flows`` is not copied; the records carry arrival 0.0.
     """
-    from dataclasses import replace
-
-    batch = [replace(f, arrival_s=0.0) for f in flows]
-    return run(config, batch, **kwargs)
+    return Simulator(config, **kwargs).run(flows, batch=True)

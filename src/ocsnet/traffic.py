@@ -111,15 +111,15 @@ def generate(spec: TrafficSpec, config: NetworkConfig) -> list[Flow]:
     m_thr = config.medium_threshold_bits
     l_thr = config.large_threshold_bits
     flows = []
-    for i in order:
-        size = int(sizes[i])
+    for s, d, size, t in zip(src[order].tolist(), dst[order].tolist(),
+                             sizes[order].tolist(), arrivals[order].tolist()):
         if size < m_thr:
             fc = FlowClass.SMALL
         elif size < l_thr:
             fc = FlowClass.MEDIUM
         else:
             fc = FlowClass.LARGE
-        flows.append(Flow(int(src[i]), int(dst[i]), size, float(arrivals[i]), fc))
+        flows.append(Flow(s, d, size, t, fc))
     return flows
 
 

@@ -139,6 +139,19 @@ class TestCommands:
         assert float(row["dct_rotor_s"]) == 0.0
         assert float(row["L_star_hybrid"]) == 1.0
 
+    def test_analyze_hybrid_small_flows_use_the_static_expander(self, runner, tmp_path):
+        # default profile at x = 0.5, path lengths averaged over seeds 0-2:
+        # the small flows' component runs on the degree-k_s = 5 expander
+        # (epl 3.4580) and binds at 0.6397 s; the degree-k = 37 expander's
+        # epl 1.8686 gave 0.6257 s
+        out = runner.invoke(main, ["analyze", "--sweep", "load_x=0.5:0.5:0.1",
+                                   "--seeds", "3", "--out", str(tmp_path)])
+        assert out.exit_code == 0, out.output
+        header, row = (tmp_path / "analyze.csv").read_text().splitlines()
+        row = dict(zip(header.split(","), row.split(",")))
+        assert float(row["dct_hybrid_s"]) == pytest.approx(0.639735, abs=1e-6)
+        assert float(row["dct_expander_s"]) == pytest.approx(0.5 * 1.868602, abs=1e-6)
+
     def test_simulate_end_to_end(self, runner, tmp_path):
         p = tmp_path / "cfg.txt"
         p.write_text(
@@ -157,6 +170,21 @@ class TestCommands:
         assert abs(float(row[4])) < 0.5            # sim close to the model
         assert (d / "trace_x0.2_seed0.csv").exists()
         assert (d / "flows_x0.2_seed0.csv").exists()
+
+    def test_simulate_seeds_start_at_traffic_seed(self, runner, tmp_path):
+        p = tmp_path / "cfg.txt"
+        p.write_text(
+            "network.n = 8\nnetwork.k_s = 0\nnetwork.k_r = 4\nnetwork.k_c = 0\n"
+            "traffic.window_s = 0.005\ntraffic.seed = 7\n"
+            'traffic.distribution.kind = "point"\n'
+            "traffic.distribution.size_mbit = 4\n")
+        d = tmp_path / "out"
+        out = runner.invoke(main, ["simulate", "--config", str(p), "--seeds", "2",
+                                   "--sweep", "load_x=0.2:0.2:0.1", "--out", str(d)])
+        assert out.exit_code == 0, out.output
+        rows = (d / "simulate.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["7", "8"]
+        assert (d / "trace_x0.2_seed8.csv").exists()
 
     def test_simulate_rejects_non_load_sweep(self, runner):
         out = runner.invoke(main, ["simulate", "--sweep", "phi=0:1:0.5"])

@@ -1,0 +1,174 @@
+"""The simulator's event loop against the eager loop it replaced.
+
+``EagerSimulator`` is the previous ``Simulator`` event loop, kept verbatim
+apart from being a subclass: every arrival pushed onto the heap before the
+first event, arrival times in a dict, records appended and sorted at the
+end. Its rotor-slot branch no longer overwrites ``delivered_bits`` with
+``injected_bits`` less the residual, because the rotor plane now counts its
+deliveries itself. ``oracle_run_batch`` is the previous ``run_batch``, which
+copied every flow with its arrival reset to zero. The planes are shared, so
+records, completion time and bit counts must agree exactly.
+"""
+import heapq
+from collections import Counter
+from contextlib import contextmanager
+from dataclasses import replace
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from ocsnet import simulator
+from ocsnet.model import NetworkConfig, make_flow, validate
+from ocsnet.simulator import FlowRecord, SimResult
+from ocsnet.topology import build_expander
+
+
+class EagerSimulator(simulator.Simulator):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._seq = 0
+        self.records = []
+
+    def schedule(self, t, kind, payload):
+        heapq.heappush(self._heap, (t, self._seq, kind, payload))
+        self._seq += 1
+
+    def record(self, fid, t, plane, hops):
+        self.records.append(FlowRecord(fid, self._arrivals[fid], t, plane, hops))
+
+    def run(self, flows) -> SimResult:
+        self._arrivals = {i: f.arrival_s for i, f in enumerate(flows)}
+        for i, f in enumerate(flows):
+            self.schedule(f.arrival_s, "arrival", (i, f))
+        completed = True
+        while self._heap:
+            t, _, kind, payload = heapq.heappop(self._heap)
+            if self.horizon_s is not None and t > self.horizon_s:
+                completed = False
+                break
+            self._clock = t
+            if kind == "arrival":
+                self._on_arrival(payload[0], payload[1], t)
+            elif kind == "rotor_slot":
+                self.rotor.on_slot(payload, t)
+            elif kind == "cache_done":
+                self.cache.on_done(payload, t)
+            elif kind == "expander":
+                self.expander.on_event(payload, t)
+            if self.audit:
+                self._check_conservation()
+        dct = max((rec.completion_s for rec in self.records), default=0.0)
+        return SimResult(
+            dct_s=dct,
+            records=tuple(sorted(self.records, key=lambda rec: rec.flow_id)),
+            spill_count=self.spill_count,
+            completed=completed and len(self.records) == len(flows),
+            injected_bits=self.injected_bits,
+            delivered_bits=self.delivered_bits,
+            plane_bits=dict(self.plane_bits),
+        )
+
+
+def oracle_run(config, flows, **kwargs):
+    return EagerSimulator(config, **kwargs).run(flows)
+
+
+def oracle_run_batch(config, flows, **kwargs):
+    batch = [replace(f, arrival_s=0.0) for f in flows]
+    return EagerSimulator(config, **kwargs).run(batch)
+
+
+@contextmanager
+def count_events():
+    """Count the events ``Simulator.schedule`` queues, by kind."""
+    counts = Counter()
+    original = simulator.Simulator.schedule
+
+    def schedule(self, t, kind, payload):
+        counts[kind] += 1
+        return original(self, t, kind, payload)
+
+    simulator.Simulator.schedule = schedule
+    try:
+        yield counts
+    finally:
+        simulator.Simulator.schedule = original
+
+
+def assert_same_result(got, want):
+    assert got.records == want.records
+    assert got.dct_s == want.dct_s
+    assert got.spill_count == want.spill_count
+    assert got.completed == want.completed
+    assert got.injected_bits == want.injected_bits
+    assert got.delivered_bits == want.delivered_bits
+    assert got.plane_bits == want.plane_bits
+
+
+# a shared grid of times, so arrivals tie often and land mid-slot
+_TIMES = st.sampled_from([0.0, 0.0, 4e-5, 1e-4, 2.5e-4, 1e-3])
+# multiples of the medium threshold (a slot-full) and the large threshold
+_SIZES = st.sampled_from([0.01, 0.3, 1.0, 2.5, "large", "2large"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_lazy_arrivals_match_the_eager_loop(data):
+    n = data.draw(st.integers(4, 16), label="n")
+    k_s = data.draw(st.sampled_from([0, 3]), label="k_s")
+    k_r = data.draw(st.sampled_from([0, 2, 4] if k_s else [2, 4]), label="k_r")
+    k_c = data.draw(st.integers(0, 2), label="k_c")
+    cfg = validate(NetworkConfig(n=n, k_s=k_s, k_r=k_r, k_c=k_c, r=10e9,
+                                 delta=100e-6, R_r=10e-6, R_c=1e-3))
+    graph = build_expander(n, k_s, data.draw(st.integers(0, 99), label="graph")) \
+        if k_s else None
+    pairs = [(s, d) for s in range(n) for d in range(n) if s != d
+             and (graph is None or np.isfinite(graph.distances()[s, d]))]
+    drawn = data.draw(st.lists(st.tuples(st.sampled_from(pairs), _SIZES, _TIMES),
+                               min_size=1, max_size=30), label="flows")
+    m, big = cfg.medium_threshold_bits, cfg.large_threshold_bits
+    scale = {"large": big / m, "2large": 2 * big / m}
+    flows = [make_flow(s, d, m * scale.get(size, size), t, cfg)
+             for (s, d), size, t in drawn]
+    kwargs = dict(seed=data.draw(st.integers(0, 9), label="seed"), expander=graph,
+                  cache_policy=data.draw(st.sampled_from(["queue", "spill"]),
+                                         label="cache_policy"),
+                  horizon_s=data.draw(st.sampled_from([None, None, 3e-4, 2e-3]),
+                                      label="horizon_s"))
+
+    for run, oracle in ((simulator.run, oracle_run),
+                        (simulator.run_batch, oracle_run_batch)):
+        with count_events() as counts:
+            got = run(cfg, flows, **kwargs)
+        assert_same_result(got, oracle(cfg, flows, **kwargs))
+        if got.completed:
+            assert counts["arrival"] == len(flows)
+
+
+def test_unsorted_tied_arrivals_pop_in_index_order():
+    cfg = validate(NetworkConfig(n=8, k_s=0, k_r=2, k_c=1, r=10e9,
+                                 delta=100e-6, R_r=10e-6, R_c=1e-3))
+    times = [2e-4, 0.0, 2e-4, 5e-5, 0.0, 5e-5, 2e-4, 0.0]
+    flows = [make_flow(i, (i + 3) % 8, 2.5e6 * (1 + i % 3), t, cfg)
+             for i, t in enumerate(times)]
+    got = simulator.run(cfg, flows)
+    assert got.completed
+    assert [rec.flow_id for rec in got.records] == list(range(len(flows)))
+    assert [rec.arrival_s for rec in got.records] == times
+    assert_same_result(got, EagerSimulator(cfg).run(flows))
+
+
+def test_arrival_tied_with_a_circuit_release_pops_first():
+    # B arrives at the very instant A's circuit is released, and is pushed
+    # after the release was scheduled: the arrival must still pop first,
+    # find the ports busy, and spill to the rotors
+    cfg = validate(NetworkConfig(n=8, k_s=0, k_r=2, k_c=1, r=10e9,
+                                 delta=100e-6, R_r=10e-6, R_c=1e-3))
+    first = make_flow(0, 1, 2 * cfg.large_threshold_bits, 0.0, cfg)
+    release = 0.0 + cfg.R_c + first.size_bits / cfg.r
+    flows = [first, make_flow(2, 3, 2.5e6, release / 2, cfg),
+             make_flow(0, 1, first.size_bits, release, cfg)]
+    got = simulator.run(cfg, flows, cache_policy="spill")
+    assert got.spill_count == 1
+    assert [rec.plane for rec in got.records] == ["cache", "rotor", "rotor"]
+    assert_same_result(got, EagerSimulator(cfg, cache_policy="spill").run(flows))

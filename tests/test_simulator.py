@@ -176,6 +176,19 @@ class TestRotorPlane:
         cycles_direct_only = 20 * (n - 1)
         assert res.dct_s < cycles_direct_only * (n - 1) * (cfg.delta + cfg.R_r)
 
+    def test_audit_catches_relayed_bits_that_vanish(self, monkeypatch):
+        n = 8
+        cfg = cfg_of(n, 0, 1, 0, large_threshold_bits=math.inf)
+        flow = make_flow(0, 1, 20 * (n - 1) * cfg.delta * cfg.r, 0.0, cfg)
+        drain = simulator._RotorPlane._drain_chunks
+
+        def leaky_drain(self, relay, dst, amount):
+            drain(self, relay, dst, 0.5 * amount)  # the other half is lost
+
+        monkeypatch.setattr(simulator._RotorPlane, "_drain_chunks", leaky_drain)
+        with pytest.raises(AssertionError, match="conservation"):
+            simulator.run(cfg, [flow])
+
 
 class TestExpanderPlane:
     def test_adjacent_single_flow_runs_at_line_rate(self):
