@@ -74,6 +74,51 @@ def _mixed_dist(cfg):
         [1e5, 4e6, 4e8], [0.6, 0.3995, 0.0005])
 
 
+class TestRouting:
+    """Every flow class on every present/absent pattern of the three planes."""
+
+    @pytest.mark.parametrize("policy", ["queue", "spill"])
+    @pytest.mark.parametrize("flow_class", ["small", "medium", "large"])
+    @pytest.mark.parametrize("k_s,k_r,k_c", [
+        (k_s, k_r, k_c) for k_s in (0, 3) for k_r in (0, 1) for k_c in (0, 1)
+        if k_s or k_r or k_c])
+    def test_class_goes_to_its_plane(self, k_s, k_r, k_c, flow_class, policy):
+        cfg = cfg_of(8, k_s, k_r, k_c)
+        graph = build_expander(8, 3, seed=0)
+        # a slot-full is the smallest medium flow; the large threshold is the
+        # smallest large flow
+        size = {"small": 1e5, "medium": cfg.medium_threshold_bits,
+                "large": cfg.large_threshold_bits}[flow_class]
+        # two large flows on one pair: the second finds a single cache switch busy
+        flows = [make_flow(0, 1, size, 0.0, cfg)
+                 for _ in range(2 if flow_class == "large" else 1)]
+        assert {f.flow_class.value for f in flows} == {flow_class}
+
+        oblivious = "rotor" if k_r else "expander" if k_s else None
+        if flow_class == "small":
+            want = ["expander" if k_s else oblivious]
+        elif flow_class == "medium":
+            want = [oblivious]
+        elif not k_c:
+            want = [oblivious] * 2
+        else:
+            want = ["cache", "cache" if policy == "queue" else oblivious]
+        spills = sum(flow_class == "large" and plane != "cache" for plane in want)
+
+        if None in want:
+            with pytest.raises(ValueError, match="no .*plane"):
+                simulator.run(cfg, flows, expander=graph, cache_policy=policy)
+            return
+        res = simulator.run(cfg, flows, expander=graph, cache_policy=policy)
+        assert res.completed
+        assert [rec.plane for rec in res.records] == want
+        # a flow above one slot-full relays through the next matching's endpoint
+        hops = {"cache": 1, "expander": int(graph.distances()[0, 1]),
+                "rotor": 1 if size <= cfg.delta * cfg.r else 2}
+        assert [rec.hops for rec in res.records] == [hops[p] for p in want]
+        assert res.spill_count == spills
+
+
 class TestCachePlane:
     @pytest.mark.parametrize("size", [1.25e8, 1e9, 8e9])
     def test_single_flow_law(self, size):
