@@ -4,9 +4,7 @@ from .model import (
     DemandMatrix,
     Flow,
     FlowClass,
-    MatchingFamily,
     NetworkConfig,
-    SwitchSpec,
     class_of,
     make_flow,
     validate,
@@ -14,11 +12,9 @@ from .model import (
 from .distributions import FlowSizeDistribution, default_mix
 from .topology import (
     ExpanderGraph,
-    Matching,
     build_expander,
     expected_path_length,
     mean_expected_path_length,
-    rotor_cycle,
 )
 from .traffic import (
     ClassRates,
@@ -49,13 +45,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalyticsReport", "ClassRates", "DemandMatrix", "ExpanderGraph", "Flow",
-    "FlowClass", "FlowSizeDistribution", "Matching", "MatchingFamily",
-    "NetworkConfig", "SimResult", "SwitchSpec", "TrafficSpec",
-    "build_expander", "cache_capacity_z", "class_of", "class_rates",
+    "FlowClass", "FlowSizeDistribution", "NetworkConfig", "SimResult",
+    "TrafficSpec", "build_expander", "cache_capacity_z", "class_of", "class_rates",
     "dct_all_to_all_rotor", "dct_cache", "dct_expander", "dct_hybrid_uniform",
     "dct_rotor", "default_mix", "demand_matrix", "expected_path_length",
     "generate", "large_flow_threshold", "make_flow",
-    "mean_expected_path_length", "optimal_split", "report", "rotor_cycle",
-    "run", "run_batch", "skewness_phi", "spill_fraction", "throughput_star",
+    "mean_expected_path_length", "optimal_split", "report", "run",
+    "run_batch", "skewness_phi", "spill_fraction", "throughput_star",
     "validate", "variation_distance",
 ]

@@ -88,7 +88,7 @@ def analyze(config_path, profile, sweep, seeds, out_dir):
     config = config_io.network_config(mapping)
     dist = config_io.distribution(mapping)
     var, grid = parse_sweep(sweep)
-    epl = topology.mean_expected_path_length(config.n, config.k, range(seeds))
+    epl_of = {}  # degree k -> its expanders' mean path length; k moves along k_c
     epl_static = (topology.mean_expected_path_length(config.n, config.k_s, range(seeds))
                   if config.k_s else None)
     phi = float(mapping.get("traffic.phi", 1.0))
@@ -104,8 +104,10 @@ def analyze(config_path, profile, sweep, seeds, out_dir):
             p = pm = value
         else:  # k_c
             cfg = validate(dataclasses.replace(config, k_c=int(value)))
+        if cfg.k not in epl_of:
+            epl_of[cfg.k] = topology.mean_expected_path_length(cfg.n, cfg.k, range(seeds))
         try:
-            rep = analytics.report(x, p, pm, dist, cfg, epl, epl_static)
+            rep = analytics.report(x, p, pm, dist, cfg, epl_of[cfg.k], epl_static)
         except ValueError as exc:
             raise click.ClickException(f"grid point {var}={value}: {exc}")
         rows.append([_fmt(getattr(rep, col)) for col in ANALYZE_HEADER])

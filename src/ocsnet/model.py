@@ -19,45 +19,6 @@ class FlowClass(str, Enum):
     LARGE = "large"
 
 
-class MatchingFamily(str, Enum):
-    SINGLE_FIXED = "single-fixed"
-    ROTOR_CYCLE = "rotor-cycle"
-    UNCONSTRAINED = "unconstrained"
-
-
-@dataclass(frozen=True)
-class SwitchSpec:
-    """Abstract spine-switch description: matching family, hold time, reconfiguration time."""
-
-    matching_family: MatchingFamily
-    matching_count: int | None  # None = all n! permutations, kept symbolic
-    hold_time_s: float          # math.inf for a fixed matching
-    reconfig_s: float
-
-    @classmethod
-    def static(cls):
-        return cls(MatchingFamily.SINGLE_FIXED, 1, math.inf, 0.0)
-
-    @classmethod
-    def rotor(cls, n, slot_s, reconfig_s):
-        return cls(MatchingFamily.ROTOR_CYCLE, n - 1, slot_s, reconfig_s)
-
-    @classmethod
-    def demand_aware(cls, reconfig_s):
-        return cls(MatchingFamily.UNCONSTRAINED, None, math.inf, reconfig_s)
-
-    def __post_init__(self):
-        fam = self.matching_family
-        if fam is MatchingFamily.SINGLE_FIXED:
-            if self.matching_count != 1 or self.hold_time_s != math.inf or self.reconfig_s != 0.0:
-                raise ValueError("single-fixed switch must have m=1, infinite hold time, zero reconfig")
-        elif fam is MatchingFamily.UNCONSTRAINED:
-            if self.matching_count is not None:
-                raise ValueError("unconstrained switch stores its matching count symbolically (None)")
-        elif self.matching_count is None or self.matching_count < 1:
-            raise ValueError("rotor-cycle switch needs an explicit matching count")
-
-
 @dataclass(frozen=True)
 class NetworkConfig:
     """Leaf/spine network parameters plus the flow-class size thresholds.

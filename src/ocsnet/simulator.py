@@ -15,6 +15,10 @@ Flow classes are mapped to planes the way the flow-assignment rules
 prescribe: small to the expander, medium to the rotors, large to the
 demand-aware switches with either FIFO queueing ("queue") or immediate
 rerouting to the rotors when no ports are free ("spill").
+
+Every plane takes flows through ``add(fid, src, dst, size, now)``, which
+returns whether the plane took the flow, handles its own events through
+``on_event(payload, now)``, and reports the bits it holds as ``residual``.
 """
 from __future__ import annotations
 
@@ -84,24 +88,21 @@ class _RotorPlane:
         self.scheduled = False
         self._ids = np.arange(n)
 
-    def inject(self, fid, src, dst, bits, now):
-        self.pending.append((now, src, dst, float(bits), fid))
-        self.pending_bits += bits
-        self._ensure_scheduled(now)
-
-    def _ensure_scheduled(self, now):
-        if self.scheduled or self.k_r < 1:
-            return
-        slot = math.ceil(max(now, 0.0) / self.period - 1e-12)
-        self.sim.schedule(slot * self.period + self.delta, "rotor_slot", slot)
-        self.scheduled = True
+    def add(self, fid, src, dst, size, now):
+        self.pending.append((now, src, dst, float(size), fid))
+        self.pending_bits += size
+        if not self.scheduled:
+            slot = math.ceil(max(now, 0.0) / self.period - 1e-12)
+            self.sim.schedule(slot * self.period + self.delta, "rotor_slot", slot)
+            self.scheduled = True
+        return True
 
     @property
     def residual(self):
         """Bits injected and not yet delivered, read from the plane's state."""
         return self.in_network + self.pending_bits
 
-    def on_slot(self, slot, t_end):
+    def on_event(self, slot, t_end):
         slot_start = t_end - self.delta
         if self.pending:
             self._admit(slot_start)
@@ -224,10 +225,15 @@ class _RotorPlane:
 
 
 class _CachePlane:
-    """Per-switch port bookkeeping plus a FIFO of waiting large flows."""
+    """Per-switch port bookkeeping plus a FIFO of waiting large flows.
 
-    def __init__(self, config: NetworkConfig, sim):
+    With ``spill`` set, a flow that finds no free port pair is refused
+    rather than queued.
+    """
+
+    def __init__(self, config: NetworkConfig, sim, spill):
         self.sim = sim
+        self.spill = spill
         self.k_c = config.k_c
         self.R_c = config.R_c
         self.r = config.r
@@ -238,17 +244,17 @@ class _CachePlane:
         self.pending_count = 0
         self.residual = 0.0
 
-    def try_start(self, fid, src, dst, size, now):
+    def add(self, fid, src, dst, size, now):
         for s in range(self.k_c):
             if src in self.free_src[s] and dst in self.free_dst[s]:
                 self._start(s, fid, src, dst, size, now)
                 return True
-        return False
-
-    def enqueue(self, fid, src, dst, size, now):
+        if self.spill:
+            return False
         self.pending.setdefault((src, dst), deque()).append((now, fid, size))
         self.pending_count += 1
         self.residual += size
+        return True
 
     def _start(self, s, fid, src, dst, size, now):
         self.free_src[s].discard(src)
@@ -257,7 +263,7 @@ class _CachePlane:
         done = now + self.R_c + size / self.r
         self.sim.schedule(done, "cache_done", (s, fid, src, dst, size))
 
-    def on_done(self, payload, now):
+    def on_event(self, payload, now):
         s, fid, src, dst, size = payload
         self.residual -= size
         self.sim.delivered_bits += size
@@ -359,13 +365,14 @@ class _ExpanderPlane:
         self.version = 0
         self.residual = 0.0
 
-    def add_flow(self, fid, src, dst, size, now):
+    def add(self, fid, src, dst, size, now):
         self._advance(now)
         path = self._sample_path(src, dst)
         edges = list(zip(path[:-1], path[1:]))
         self.flows[fid] = [float(size), 0.0, edges, len(edges)]
         self.residual += size
         self._recompute(now)
+        return True
 
     def _hops_to(self, dst):
         """Shortest-path next hops toward ``dst`` from every node.
@@ -459,8 +466,6 @@ class Simulator:
             raise ValueError("config thresholds unset; run model.validate first")
         if cache_policy not in ("queue", "spill"):
             raise ValueError(f"unknown cache policy {cache_policy!r}")
-        self.config = config
-        self.cache_policy = cache_policy
         self.horizon_s = horizon_s
         self.audit = audit
         self.rng = np.random.default_rng(seed)
@@ -470,9 +475,24 @@ class Simulator:
         self.delivered_bits = 0.0
         self.plane_bits = {"rotor": 0.0, "cache": 0.0, "expander": 0.0}
         self.rotor = _RotorPlane(config, self) if config.k_r > 0 else None
-        self.cache = _CachePlane(config, self) if config.k_c > 0 else None
+        self.cache = (_CachePlane(config, self, cache_policy == "spill")
+                      if config.k_c > 0 else None)
         self.expander = None
-        self._expander_graph = expander
+        if config.k_s > 0:
+            # only the expander reads self.rng, so its graph seed is the first draw
+            graph = expander or build_expander(config.n, config.k_s,
+                                               int(self.rng.integers(2 ** 31)))
+            self.expander = _ExpanderPlane(graph, config, self.rng, self)
+        self._planes = [p for p in (self.rotor, self.cache, self.expander)
+                        if p is not None]
+        self._spill_to = self.rotor or self.expander
+        # the small and medium entries are None only when there is nowhere
+        # to spill, so only large flows ever reach self._spill_to
+        self._plane_of = {FlowClass.SMALL: self.expander or self.rotor,
+                          FlowClass.MEDIUM: self._spill_to,
+                          FlowClass.LARGE: self.cache}
+        self._plane_of_event = {"rotor_slot": self.rotor, "cache_done": self.cache,
+                                "expander": self.expander}
         self._clock = 0.0
 
     def schedule(self, t, kind, payload):
@@ -487,15 +507,6 @@ class Simulator:
 
     def record(self, fid, t, plane, hops):
         self.records[fid] = FlowRecord(fid, self._arrivals[fid], t, plane, hops)
-
-    def _get_expander(self):
-        if self.expander is None:
-            if self.config.k_s < 1:
-                raise ValueError("no static switches: expander plane unavailable")
-            graph = self._expander_graph or build_expander(
-                self.config.n, self.config.k_s, int(self.rng.integers(2 ** 31)))
-            self.expander = _ExpanderPlane(graph, self.config, self.rng, self)
-        return self.expander
 
     def run(self, flows, *, batch=False) -> SimResult:
         """Serve ``flows`` until all complete or the horizon passes.
@@ -532,12 +543,8 @@ class Simulator:
             if kind == "arrival":
                 schedule_next_arrival()
                 self._on_arrival(payload[0], payload[1], t)
-            elif kind == "rotor_slot":
-                self.rotor.on_slot(payload, t)
-            elif kind == "cache_done":
-                self.cache.on_done(payload, t)
-            elif kind == "expander":
-                self.expander.on_event(payload, t)
+            else:
+                self._plane_of_event[kind].on_event(payload, t)
             if self.audit:
                 self._check_conservation()
         records = tuple(filter(None, self.records))
@@ -554,49 +561,21 @@ class Simulator:
 
     def _on_arrival(self, fid, flow, t):
         self.injected_bits += flow.size_bits
-        fc = flow.flow_class
-        if fc is FlowClass.LARGE and self.cache is not None:
-            if self.cache.try_start(fid, flow.src, flow.dst, flow.size_bits, t):
-                return
-            if self.cache_policy == "queue":
-                self.cache.enqueue(fid, flow.src, flow.dst, flow.size_bits, t)
-                return
-            self.spill_count += 1
-            self._to_oblivious(fid, flow, t)
-        elif fc is FlowClass.LARGE:
-            self.spill_count += 1
-            self._to_oblivious(fid, flow, t)
-        elif fc is FlowClass.SMALL:
-            if self.config.k_s > 0:
-                self._get_expander().add_flow(fid, flow.src, flow.dst, flow.size_bits, t)
-            elif self.rotor is not None:
-                self.rotor.inject(fid, flow.src, flow.dst, flow.size_bits, t)
-            else:
-                raise ValueError("no plane available for small flows (k_s = k_r = 0)")
-        else:
-            self._to_oblivious(fid, flow, t)
-
-    def _to_oblivious(self, fid, flow, t):
-        """Rotor plane, or the expander when the network has no rotors."""
-        if self.rotor is not None:
-            self.rotor.inject(fid, flow.src, flow.dst, flow.size_bits, t)
-        elif self.config.k_s > 0:
-            self._get_expander().add_flow(fid, flow.src, flow.dst, flow.size_bits, t)
-        else:
-            raise ValueError("no demand-oblivious plane available (k_s = k_r = 0)")
-
-    def _residual(self):
-        total = 0.0
-        if self.rotor is not None:
-            total += self.rotor.residual
-        if self.cache is not None:
-            total += self.cache.residual
-        if self.expander is not None:
-            total += self.expander.residual
-        return total
+        args = (fid, flow.src, flow.dst, flow.size_bits, t)
+        plane = self._plane_of[flow.flow_class]
+        if plane is not None and plane.add(*args):
+            return
+        if self._spill_to is None:
+            raise ValueError(f"no plane available for {flow.flow_class.value} flows "
+                             "(k_s = k_r = 0)")
+        self.spill_count += 1
+        self._spill_to.add(*args)
 
     def _check_conservation(self):
-        drift = self.injected_bits - self.delivered_bits - self._residual()
+        residual = 0.0
+        for plane in self._planes:
+            residual += plane.residual
+        drift = self.injected_bits - self.delivered_bits - residual
         limit = 1e-6 * max(self.injected_bits, 1.0) + 1.0
         if abs(drift) > limit:
             raise AssertionError(
@@ -604,12 +583,9 @@ class Simulator:
             )
 
 
-def run(config: NetworkConfig, flows, *, seed=0, expander=None,
-        cache_policy="queue", horizon_s=None, audit=True) -> SimResult:
+def run(config: NetworkConfig, flows, **kwargs) -> SimResult:
     """Simulate one flow trace to completion; deterministic per (config, flows, seed)."""
-    sim = Simulator(config, seed=seed, expander=expander,
-                    cache_policy=cache_policy, horizon_s=horizon_s, audit=audit)
-    return sim.run(flows)
+    return Simulator(config, **kwargs).run(flows)
 
 
 def run_batch(config: NetworkConfig, flows, **kwargs) -> SimResult:

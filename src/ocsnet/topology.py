@@ -1,8 +1,7 @@
-"""Matchings and concrete topologies for the three switch families.
+"""Random regular expanders: the static switches' fixed matchings.
 
-The rotor family is the cyclic-shift decomposition of the complete
-digraph; the static family is the union of independently sampled
-fixed-point-free random permutations, giving a random regular expander.
+Each static switch holds one fixed-point-free random permutation; their
+union is a random regular expander.
 """
 from __future__ import annotations
 
@@ -14,40 +13,13 @@ from scipy.sparse.csgraph import shortest_path
 
 
 @dataclass(frozen=True)
-class Matching:
-    """A fixed-point-free permutation mapping input port i to output port perm[i]."""
-
-    perm: tuple
-
-    def __post_init__(self):
-        perm = tuple(int(p) for p in self.perm)
-        n = len(perm)
-        if sorted(perm) != list(range(n)):
-            raise ValueError("matching must be a permutation of 0..n-1")
-        if any(p == i for i, p in enumerate(perm)):
-            raise ValueError("matching must be fixed-point free")
-        object.__setattr__(self, "perm", perm)
-
-    def __len__(self):
-        return len(self.perm)
-
-    def __getitem__(self, i):
-        return self.perm[i]
-
-
-def rotor_cycle(n) -> list[Matching]:
-    """The n-1 cyclic-shift matchings; their union covers every ordered pair once."""
-    if n < 2:
-        raise ValueError(f"rotor cycle needs n >= 2, got {n}")
-    return [Matching(tuple((i + t) % n for i in range(n))) for t in range(1, n)]
-
-
-@dataclass(frozen=True)
 class ExpanderGraph:
     """Union of ``degree`` fixed-point-free random matchings on n nodes.
 
-    Multi-edges across matchings are kept (``multiplicity``) and count as
-    parallel capacity; path computations treat them as one edge.
+    Each matching is a tuple ``perm`` sending input port i to output port
+    ``perm[i]``. Multi-edges across matchings are kept (``multiplicity``)
+    and count as parallel capacity; path computations treat them as one
+    edge.
     """
 
     n: int
@@ -55,11 +27,20 @@ class ExpanderGraph:
     seed: int
     matchings: tuple
 
+    def __post_init__(self):
+        matchings = tuple(tuple(int(p) for p in perm) for perm in self.matchings)
+        for perm in matchings:
+            if sorted(perm) != list(range(self.n)):
+                raise ValueError(f"matching must be a permutation of 0..{self.n - 1}")
+            if any(p == i for i, p in enumerate(perm)):
+                raise ValueError("matching must be fixed-point free")
+        object.__setattr__(self, "matchings", matchings)
+
     @property
     def multiplicity(self) -> np.ndarray:
         mult = np.zeros((self.n, self.n), dtype=np.int64)
         for m in self.matchings:
-            mult[np.arange(self.n), m.perm] += 1
+            mult[np.arange(self.n), m] += 1
         return mult
 
     def adjacency(self) -> np.ndarray:
@@ -80,7 +61,7 @@ def _random_derangement(n, rng):
     while True:
         perm = rng.permutation(n)
         if not (perm == np.arange(n)).any():
-            return Matching(tuple(int(p) for p in perm))
+            return tuple(perm.tolist())
 
 
 def build_expander(n, k_s, seed) -> ExpanderGraph:
@@ -119,5 +100,5 @@ def write_edge_list(graph: ExpanderGraph, path):
     """Export one ``src dst`` pair per line; multi-edges repeat."""
     with open(path, "w") as fh:
         for m in graph.matchings:
-            for src, dst in enumerate(m.perm):
+            for src, dst in enumerate(m):
                 fh.write(f"{src} {dst}\n")

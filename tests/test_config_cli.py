@@ -6,6 +6,7 @@ from click.testing import CliRunner
 from ocsnet import config_io
 from ocsnet.cli import main, parse_sweep
 from ocsnet.model import NetworkConfig, validate
+from ocsnet.topology import mean_expected_path_length
 
 
 class TestUnits:
@@ -151,6 +152,18 @@ class TestCommands:
         row = dict(zip(header.split(","), row.split(",")))
         assert float(row["dct_hybrid_s"]) == pytest.approx(0.639735, abs=1e-6)
         assert float(row["dct_expander_s"]) == pytest.approx(0.5 * 1.868602, abs=1e-6)
+
+    def test_analyze_k_c_sweep_moves_the_expander_degree(self, runner, tmp_path):
+        # k = k_s + k_r + k_c = 29, 37, 45 on the default profile
+        out = runner.invoke(main, ["analyze", "--sweep", "k_c=8:24:8", "--seeds", "1",
+                                   "--out", str(tmp_path)])
+        assert out.exit_code == 0, out.output
+        header, *rows = (tmp_path / "analyze.csv").read_text().splitlines()
+        got = [float(dict(zip(header.split(","), row.split(",")))["dct_expander_s"])
+               for row in rows]
+        want = [0.5 * mean_expected_path_length(256, k, range(1)) for k in (29, 37, 45)]
+        assert got == pytest.approx(want, abs=1e-12)
+        assert len(set(got)) == 3
 
     def test_simulate_end_to_end(self, runner, tmp_path):
         p = tmp_path / "cfg.txt"

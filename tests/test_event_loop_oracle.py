@@ -5,8 +5,9 @@ apart from being a subclass: every arrival pushed onto the heap before the
 first event, arrival times in a dict, records appended and sorted at the
 end. Its rotor-slot branch no longer overwrites ``delivered_bits`` with
 ``injected_bits`` less the residual, because the rotor plane now counts its
-deliveries itself. ``oracle_run_batch`` is the previous ``run_batch``, which
-copied every flow with its arrival reset to zero. The planes are shared, so
+deliveries itself, and its rotor-slot and cache-done branches call the
+planes' common ``on_event``. ``oracle_run_batch`` is the previous
+``run_batch``, which copied every flow with its arrival reset to zero. The planes are shared, so
 records, completion time and bit counts must agree exactly.
 """
 import heapq
@@ -50,9 +51,9 @@ class EagerSimulator(simulator.Simulator):
             if kind == "arrival":
                 self._on_arrival(payload[0], payload[1], t)
             elif kind == "rotor_slot":
-                self.rotor.on_slot(payload, t)
+                self.rotor.on_event(payload, t)
             elif kind == "cache_done":
-                self.cache.on_done(payload, t)
+                self.cache.on_event(payload, t)
             elif kind == "expander":
                 self.expander.on_event(payload, t)
             if self.audit:

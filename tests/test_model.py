@@ -1,13 +1,10 @@
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
 import numpy as np
 
 from ocsnet.model import (
-    DemandMatrix, Flow, FlowClass, MatchingFamily, NetworkConfig, SwitchSpec,
-    class_of, make_flow, validate,
+    DemandMatrix, Flow, FlowClass, NetworkConfig, class_of, make_flow, validate,
 )
 
 
@@ -100,24 +97,6 @@ class TestClassOf:
     def test_total_function(self, size):
         cfg = validate(base_config())
         assert class_of(size, cfg) in FlowClass
-
-
-class TestSwitchSpec:
-    def test_static_shape(self):
-        s = SwitchSpec.static()
-        assert s.matching_count == 1 and math.isinf(s.hold_time_s)
-
-    def test_rotor_cycles_all_but_one(self):
-        assert SwitchSpec.rotor(256, 100e-6, 10e-6).matching_count == 255
-
-    def test_unconstrained_count_is_symbolic(self):
-        s = SwitchSpec.demand_aware(15e-3)
-        assert s.matching_count is None
-        assert s.matching_family is MatchingFamily.UNCONSTRAINED
-
-    def test_static_with_reconfig_rejected(self):
-        with pytest.raises(ValueError):
-            SwitchSpec(MatchingFamily.SINGLE_FIXED, 1, math.inf, 1e-3)
 
 
 class TestFlow:

@@ -239,7 +239,7 @@ class TestExpanderPlane:
     def test_adjacent_single_flow_runs_at_line_rate(self):
         cfg = cfg_of(4, 1, 0, 0)
         g = build_expander(4, 1, seed=0)
-        dst = g.matchings[0].perm[0]
+        dst = g.matchings[0][0]
         res = simulator.run(cfg, [make_flow(0, dst, 5e5, 0.0, cfg)], expander=g)
         assert res.dct_s == pytest.approx(5e5 / cfg.r, abs=1e-9)
         assert res.records[0].plane == "expander" and res.records[0].hops == 1
@@ -247,7 +247,7 @@ class TestExpanderPlane:
     def test_two_flows_share_a_link_fairly(self):
         cfg = cfg_of(4, 1, 0, 0)
         g = build_expander(4, 1, seed=0)
-        dst = g.matchings[0].perm[0]
+        dst = g.matchings[0][0]
         flows = [make_flow(0, dst, 5e5, 0.0, cfg) for _ in range(2)]
         res = simulator.run(cfg, flows, expander=g)
         assert res.dct_s == pytest.approx(2 * 5e5 / cfg.r, abs=1e-9)

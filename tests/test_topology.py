@@ -2,41 +2,30 @@ import numpy as np
 import pytest
 
 from ocsnet.topology import (
-    ExpanderGraph, Matching, build_expander, expected_path_length,
-    mean_expected_path_length, rotor_cycle, write_edge_list,
+    ExpanderGraph, build_expander, expected_path_length,
+    mean_expected_path_length, write_edge_list,
 )
 
 
 class TestMatching:
+    """ExpanderGraph checks each matching it is given."""
+
     def test_non_permutation_rejected(self):
         with pytest.raises(ValueError, match="permutation"):
-            Matching((0, 0, 1))
+            ExpanderGraph(n=3, degree=1, seed=0, matchings=((0, 0, 1),))
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="permutation"):
+            ExpanderGraph(n=4, degree=1, seed=0, matchings=((1, 2, 0),))
 
     def test_fixed_point_rejected(self):
         with pytest.raises(ValueError, match="fixed-point"):
-            Matching((0, 2, 1))
+            ExpanderGraph(n=3, degree=1, seed=0, matchings=((0, 2, 1),))
 
     def test_indexing(self):
-        m = Matching((1, 2, 0))
-        assert len(m) == 3 and m[2] == 0
-
-
-class TestRotorCycle:
-    def test_n2_single_swap(self):
-        assert [m.perm for m in rotor_cycle(2)] == [(1, 0)]
-
-    def test_n4_covers_all_pairs_once(self):
-        pairs = [(i, m[i]) for m in rotor_cycle(4) for i in range(4)]
-        assert len(pairs) == 12 and len(set(pairs)) == 12
-
-    @pytest.mark.parametrize("n", [3, 8, 17, 64])
-    def test_union_is_exact_pair_cover(self, n):
-        pairs = {(i, m[i]) for m in rotor_cycle(n) for i in range(n)}
-        assert pairs == {(i, j) for i in range(n) for j in range(n) if i != j}
-
-    def test_too_small_rejected(self):
-        with pytest.raises(ValueError):
-            rotor_cycle(1)
+        g = ExpanderGraph(n=3, degree=1, seed=0, matchings=(np.array([1, 2, 0]),))
+        m = g.matchings[0]
+        assert m == (1, 2, 0) and len(m) == 3 and type(m[2]) is int
 
 
 class TestBuildExpander:
@@ -57,7 +46,7 @@ class TestBuildExpander:
 
     def test_n2_is_the_swap(self):
         g = build_expander(2, 1, seed=5)
-        assert g.matchings[0].perm == (1, 0)
+        assert g.matchings[0] == (1, 0)
 
     def test_large_union_is_connected(self):
         assert build_expander(256, 32, seed=1).is_connected()
@@ -72,18 +61,19 @@ class TestBuildExpander:
 
 class TestExpectedPathLength:
     def test_complete_digraph_is_one(self):
-        g = ExpanderGraph(n=8, degree=7, seed=0, matchings=tuple(rotor_cycle(8)))
+        shifts = tuple(tuple((i + t) % 8 for i in range(8)) for t in range(1, 8))
+        g = ExpanderGraph(n=8, degree=7, seed=0, matchings=shifts)
         assert expected_path_length(g) == 1.0
 
     def test_directed_cycle(self):
         g = ExpanderGraph(n=4, degree=1, seed=0,
-                          matchings=(Matching((1, 2, 3, 0)),))
+                          matchings=((1, 2, 3, 0),))
         assert expected_path_length(g) == pytest.approx(2.0)
 
     def test_disconnected_names_a_pair(self):
         # two disjoint 2-cycles
         g = ExpanderGraph(n=4, degree=1, seed=0,
-                          matchings=(Matching((1, 0, 3, 2)),))
+                          matchings=((1, 0, 3, 2),))
         with pytest.raises(ValueError, match="no path from"):
             expected_path_length(g)
 
@@ -93,7 +83,7 @@ class TestExpectedPathLength:
         assert dense <= sparse
 
     def test_multi_edges_counted_once_for_distance(self):
-        m = Matching((1, 0))
+        m = (1, 0)
         g = ExpanderGraph(n=2, degree=2, seed=0, matchings=(m, m))
         assert g.multiplicity[0, 1] == 2
         assert expected_path_length(g) == 1.0
