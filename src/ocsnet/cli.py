@@ -79,7 +79,7 @@ def main():
 @main.command()
 @config_options
 @click.option("--sweep", default="load_x=0.1:0.9:0.1", show_default=True)
-@click.option("--seeds", default=3, show_default=True,
+@click.option("--seeds", type=click.IntRange(min=1), default=3, show_default=True,
               help="Expander samples averaged for the path-length estimate.")
 @click.option("--out", "out_dir", type=click.Path(), default=".", show_default=True)
 def analyze(config_path, profile, sweep, seeds, out_dir):
@@ -119,7 +119,7 @@ def analyze(config_path, profile, sweep, seeds, out_dir):
 @main.command()
 @config_options
 @click.option("--sweep", default="load_x=0.2:0.6:0.2", show_default=True)
-@click.option("--seeds", default=1, show_default=True)
+@click.option("--seeds", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--out", "out_dir", type=click.Path(), default=".", show_default=True)
 @click.option("--horizon", "horizon_s", type=float, default=None,
               help="Abort marker time for non-draining runs, in seconds.")
@@ -206,7 +206,7 @@ def threshold(config_path, profile, phi):
 @main.command()
 @click.option("-n", "--tors", "n", default=256, show_default=True)
 @click.option("-k", "--degree", default=32, show_default=True)
-@click.option("--seeds", default=10, show_default=True)
+@click.option("--seeds", type=click.IntRange(min=1), default=10, show_default=True)
 def epl(n, degree, seeds):
     """Mean shortest-path length of random regular expanders."""
     value = topology.mean_expected_path_length(n, degree, range(seeds))

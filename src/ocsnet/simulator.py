@@ -306,6 +306,14 @@ def _max_min_fill(flows, capacity):
     in a level uses the same share, so the rates are bit-identical to a
     rescan of every loaded link per level. Returns the bottleneck edges in
     the order they were frozen.
+
+    The allocation splits over the connected components of the flow-link
+    graph. A component's keys, shares and subtractions involve only its
+    own links, and the heap pops them in the same relative order whatever
+    other keys it holds, because two components share no edge and so no
+    key of one equals a key of another. Filling a sub-dict that is a union
+    of components therefore gives its flows bit-for-bit the rates that
+    filling every flow would.
     """
     cap = {}
     on_edge = {}
@@ -361,6 +369,9 @@ class _ExpanderPlane:
         self._hop_tables = {}        # dst -> _hops_to(dst)
         self.rng = rng
         self.flows = {}              # fid -> [residual, rate, path_edges, n_hops]
+        self.on_edge = {}            # edge -> fids of the active flows on it
+        self.component = {}          # fid -> fids linked to it through shared links,
+                                     # one set shared by the whole component
         self.last_t = 0.0
         self.version = 0
         self.residual = 0.0
@@ -370,8 +381,23 @@ class _ExpanderPlane:
         path = self._sample_path(src, dst)
         edges = list(zip(path[:-1], path[1:]))
         self.flows[fid] = [float(size), 0.0, edges, len(edges)]
+        # merge the components the new flow links, the smaller into the larger
+        linked = {fid}
+        for e in edges:
+            users = self.on_edge.setdefault(e, set())
+            for other in users:
+                comp = self.component[other]
+                if comp is not linked:
+                    if len(comp) > len(linked):
+                        comp, linked = linked, comp
+                    linked |= comp
+                    for f in comp:
+                        self.component[f] = linked
+            users.add(fid)
+        self.component[fid] = linked
         self.residual += size
-        self._recompute(now)
+        self._recompute(now, self.flows if len(linked) == len(self.flows)
+                        else {f: self.flows[f] for f in linked})
         return True
 
     def _hops_to(self, dst):
@@ -435,11 +461,37 @@ class _ExpanderPlane:
                 self.sim.plane_bits["expander"] += sent
         self.last_t = now
 
-    def _recompute(self, now):
+    def _split(self, edges):
+        """Give each group of active flows linked to ``edges``, directly or
+        through other active flows, its own component; returns every flow
+        in them, keyed by flow id."""
+        linked = {}
+        for edge in edges:
+            for start in self.on_edge.get(edge, ()):
+                if start in linked:
+                    continue
+                comp, stack = {start}, [start]
+                while stack:
+                    for e in self.flows[stack.pop()][2]:
+                        for other in self.on_edge[e]:
+                            if other not in comp:
+                                comp.add(other)
+                                stack.append(other)
+                for f in comp:
+                    linked[f] = self.flows[f]
+                    self.component[f] = comp
+        return linked
+
+    def _recompute(self, now, linked):
+        """Re-fill the rates of ``linked``, the flows that share links with
+        the flows just added or finished, directly or through other flows,
+        and schedule the next completion. Every other flow keeps its rate:
+        its links carry the same flows as at its last filling (see
+        ``_max_min_fill``)."""
         self.version += 1
         if not self.flows:
             return
-        _max_min_fill(self.flows, self.capacity)
+        _max_min_fill(linked, self.capacity)
         horizon = min(
             state[0] / state[1] for state in self.flows.values() if state[1] > 0
         )
@@ -450,13 +502,21 @@ class _ExpanderPlane:
             return
         self._advance(now)
         done = [fid for fid, st in self.flows.items() if st[0] <= _TOL]
+        edges = []
         for fid in done:
             st = self.flows.pop(fid)
+            del self.component[fid]
+            for e in st[2]:
+                users = self.on_edge[e]
+                users.discard(fid)
+                if not users:
+                    del self.on_edge[e]
+            edges += st[2]
             self.residual -= st[0]   # tiny float remainder
             self.sim.delivered_bits += st[0]
             self.sim.plane_bits["expander"] += st[0]
             self.sim.record(fid, now, "expander", st[3])
-        self._recompute(now)
+        self._recompute(now, self._split(edges))
 
 
 class Simulator:

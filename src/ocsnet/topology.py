@@ -93,6 +93,8 @@ def expected_path_length(graph: ExpanderGraph) -> float:
 def mean_expected_path_length(n, k_s, seeds) -> float:
     """epl averaged over freshly built expanders, one per seed."""
     vals = [expected_path_length(build_expander(n, k_s, s)) for s in seeds]
+    if not vals:
+        raise ValueError("no seeds to average the path length over")
     return float(np.mean(vals))
 
 

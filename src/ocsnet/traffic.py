@@ -124,11 +124,18 @@ def generate(spec: TrafficSpec, config: NetworkConfig) -> list[Flow]:
 
 
 def demand_matrix(flows, n, window_s=1.0, class_filter=None) -> DemandMatrix:
-    """Accumulate flow sizes into an n x n matrix, optionally for one class."""
+    """Accumulate flow sizes into an n x n matrix, optionally for one class.
+
+    ``np.add.at`` adds repeated pairs in flow order, so each cell gets the
+    same float sum as one ``+=`` per flow.
+    """
+    wanted = None if class_filter is None else FlowClass(class_filter)
+    picked = [f for f in flows if wanted is None or f.flow_class is wanted]
     cells = np.zeros((n, n))
-    for f in flows:
-        if class_filter is None or f.flow_class is FlowClass(class_filter):
-            cells[f.src, f.dst] += f.size_bits
+    np.add.at(cells,
+              (np.array([f.src for f in picked], dtype=np.intp),
+               np.array([f.dst for f in picked], dtype=np.intp)),
+              np.array([f.size_bits for f in picked], dtype=float))
     return DemandMatrix(n=n, cells=cells, window_s=window_s)
 
 

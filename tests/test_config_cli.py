@@ -199,6 +199,18 @@ class TestCommands:
         assert [row.split(",")[1] for row in rows] == ["7", "8"]
         assert (d / "trace_x0.2_seed8.csv").exists()
 
+    @pytest.mark.parametrize("command", [
+        ["analyze", "--sweep", "load_x=0.5:0.5:0.1"],
+        ["epl", "-n", "16", "-k", "4"],
+        ["simulate", "--sweep", "load_x=0.2:0.2:0.1"],
+    ])
+    def test_zero_seeds_rejected(self, runner, tmp_path, command):
+        out_args = [] if command[0] == "epl" else ["--out", str(tmp_path)]
+        out = runner.invoke(main, command + ["--seeds", "0"] + out_args)
+        assert out.exit_code == 2
+        assert "--seeds" in out.output
+        assert list(tmp_path.iterdir()) == []
+
     def test_simulate_rejects_non_load_sweep(self, runner):
         out = runner.invoke(main, ["simulate", "--sweep", "phi=0:1:0.5"])
         assert out.exit_code != 0 and "load" in out.output

@@ -5,6 +5,10 @@ The oracles below are the previous ``_ExpanderPlane`` code, kept verbatim
 apart from being lifted out of the class (and, for the filler, recording
 the bottleneck edges in the order it froze them). The arithmetic of the
 two fillers is the same, so rates must agree exactly, not approximately.
+
+The plane re-fills only the flows linked to an added or finished flow
+through shared links; after every such re-filling, each active flow's
+rate must equal the rate a filling of every active flow gives.
 """
 import copy
 
@@ -175,3 +179,145 @@ def test_streamed_default_mix_is_unchanged_under_the_oracle(monkeypatch):
     assert shipped.completed and oracle.completed
     assert shipped.records == oracle.records
     assert shipped.dct_s == oracle.dct_s
+
+
+class _SimStub:
+    """What the expander plane reads and writes on its simulator."""
+
+    def __init__(self):
+        self.delivered_bits = 0.0
+        self.plane_bits = {"expander": 0.0}
+        self.events = []
+        self.records = {}
+
+    def schedule(self, t, kind, payload):
+        self.events.append((t, kind, payload))
+
+    def record(self, fid, t, plane, hops):
+        self.records[fid] = (t, plane, hops)
+
+
+def _driven_plane(n, k_s, graph_seed, rng_seed):
+    plane = _plane(n, k_s, graph_seed, rng_seed)
+    plane.sim = _SimStub()
+    return plane
+
+
+def _finish(plane, fids, now):
+    """Complete ``fids`` through the plane's own completion event."""
+    for fid in fids:
+        plane.flows[fid][0] = 0.0
+    plane.on_event(plane.version, now)
+
+
+def _assert_fresh(plane):
+    expect = copy.deepcopy(plane.flows)
+    simulator._max_min_fill(expect, plane.capacity)
+    assert {fid: st[1] for fid, st in plane.flows.items()} == {
+        fid: st[1] for fid, st in expect.items()}
+    on_edge = {}
+    for fid, state in plane.flows.items():
+        for e in state[2]:
+            on_edge.setdefault(e, set()).add(fid)
+    assert plane.on_edge == on_edge
+    # each flow's component is the set of flows it reaches through shared
+    # links, and every member holds the same set
+    assert plane.component.keys() == plane.flows.keys()
+    for fid, comp in plane.component.items():
+        reach, stack = {fid}, [fid]
+        while stack:
+            for e in plane.flows[stack.pop()][2]:
+                stack += on_edge[e] - reach
+                reach |= on_edge[e]
+        assert comp == reach
+        assert all(plane.component[f] is comp for f in comp)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_local_refilling_matches_a_fresh_filling_of_every_flow(data):
+    n = data.draw(st.integers(3, 16), label="n")
+    k_s = data.draw(st.integers(1, min(4, n - 1)), label="k_s")
+    plane = _driven_plane(n, k_s, data.draw(st.integers(0, 999), label="graph_seed"),
+                          data.draw(st.integers(0, 999), label="rng_seed"))
+    if data.draw(st.booleans(), label="redraw_caps"):
+        plane.capacity = {e: data.draw(_CAPS) for e in sorted(plane.capacity)}
+    pairs = [(s, d) for s in range(n) for d in range(n)
+             if s != d and np.isfinite(plane.dist[s, d])]
+    op = st.tuples(st.sampled_from(["add", "add", "finish", "next"]),
+                   st.sampled_from(pairs), st.floats(1e3, 1e6), st.floats(0.0, 1e-4),
+                   st.sets(st.integers(0, 99), min_size=1, max_size=3))
+    now, fid = 0.0, 0
+    for kind, pair, size, dt, picks in data.draw(st.lists(op, min_size=20, max_size=80),
+                                                 label="ops"):
+        if kind == "add":
+            now += dt
+            plane.add(fid, *pair, size, now)
+            fid += 1
+        elif not plane.flows:
+            continue
+        elif kind == "finish":
+            active = sorted(plane.flows)
+            _finish(plane, {active[i % len(active)] for i in picks}, now)
+        else:  # the plane's next completion
+            now = max(now, plane.sim.events[-1][0])
+            plane.on_event(plane.sim.events[-1][2], now)
+        _assert_fresh(plane)
+        if plane.flows:
+            assert plane.sim.events[-1][2] == plane.version
+
+
+# f0 and f1 on link (0, 1); f2 on 2-3-4 and f3 on 3-4-5 share (3, 4);
+# f4 on (6, 7) is a component of its own throughout. The bridge f5 on
+# 0-1-2-3 shares (0, 1) with f0 and f1 and (2, 3) with f2, so it reaches
+# f3 only through f2.
+_COMPONENTS = [[0, 1], [0, 1], [2, 3, 4], [3, 4, 5], [6, 7]]
+_BRIDGE = [0, 1, 2, 3]
+_BRIDGED_CAPS = {(0, 1): 3.0, (1, 2): 10.0, (2, 3): 3.0, (3, 4): 5.0,
+                 (4, 5): 10.0, (6, 7): 7.0}
+
+
+def _add_on_path(plane, fid, path):
+    plane._sample_path = lambda src, dst: path
+    plane.add(fid, path[0], path[-1], 1e6, 0.0)
+
+
+def _bridged_plane(monkeypatch):
+    """The plane with f0-f4 added, and the flow ids of each filling."""
+    plane = _driven_plane(8, 2, 0, 0)
+    plane.capacity = dict(_BRIDGED_CAPS)
+    filled, fill = [], simulator._max_min_fill
+
+    def spied_fill(flows, capacity):
+        filled.append(set(flows))
+        return fill(flows, capacity)
+
+    monkeypatch.setattr(simulator, "_max_min_fill", spied_fill)
+    for fid, path in enumerate(_COMPONENTS):
+        _add_on_path(plane, fid, path)
+    return plane, filled
+
+
+def _rates(plane):
+    return {fid: st[1] for fid, st in plane.flows.items()}
+
+
+def test_bridging_flow_merges_two_components(monkeypatch):
+    plane, filled = _bridged_plane(monkeypatch)
+    assert _rates(plane) == {0: 1.5, 1: 1.5, 2: 2.5, 3: 2.5, 4: 7.0}
+    _add_on_path(plane, 5, _BRIDGE)
+    # the bridge takes 1.0 of (0, 1) and (2, 3), which leaves f2 2.0
+    # and f3 the rest of (3, 4)
+    assert _rates(plane) == {0: 1.0, 1: 1.0, 2: 2.0, 3: 3.0, 4: 7.0, 5: 1.0}
+    assert filled[-1] == {0, 1, 2, 3, 5}
+    _assert_fresh(plane)
+
+
+def test_removing_the_bridge_splits_them_again(monkeypatch):
+    plane, filled = _bridged_plane(monkeypatch)
+    _add_on_path(plane, 5, _BRIDGE)
+    _finish(plane, [5], 0.0)
+    assert _rates(plane) == {0: 1.5, 1: 1.5, 2: 2.5, 3: 2.5, 4: 7.0}
+    assert filled[-1] == {0, 1, 2, 3}
+    assert plane.sim.records == {5: (0.0, "expander", 3)}
+    _assert_fresh(plane)

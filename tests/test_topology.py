@@ -82,6 +82,10 @@ class TestExpectedPathLength:
         dense = mean_expected_path_length(64, 8, range(5))
         assert dense <= sparse
 
+    def test_empty_seed_range_rejected(self):
+        with pytest.raises(ValueError, match="no seeds"):
+            mean_expected_path_length(16, 4, range(0))
+
     def test_multi_edges_counted_once_for_distance(self):
         m = (1, 0)
         g = ExpanderGraph(n=2, degree=2, seed=0, matchings=(m, m))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ocsnet.distributions import FlowSizeDistribution, default_mix
-from ocsnet.model import DemandMatrix, FlowClass, NetworkConfig, validate
+from ocsnet.model import DemandMatrix, Flow, FlowClass, NetworkConfig, validate
 from ocsnet.traffic import (
     TrafficSpec, class_rates, demand_matrix, generate, read_trace,
     skewness_phi, variation_distance, write_trace,
@@ -75,6 +75,24 @@ class TestGenerate:
         flows = generate(TrafficSpec("uniform", 0.2, default_mix(), window_s=0.01, seed=0), cfg)
         dm = demand_matrix(flows, cfg.n)
         assert dm.total_bits == sum(f.size_bits for f in flows)
+
+    @pytest.mark.parametrize("class_filter", [None, "small", FlowClass.LARGE])
+    def test_demand_matrix_matches_the_per_flow_loop(self, cfg, class_filter):
+        flows = generate(TrafficSpec("uniform", 0.2, default_mix(), window_s=0.01, seed=0), cfg)
+        # sums that round differently if the flows are added out of order
+        flows += [Flow(1, 2, size, 0.0, cls) for size, cls in [
+            (2 ** 53, FlowClass.LARGE), (1, FlowClass.SMALL), (1, FlowClass.SMALL),
+            (1, FlowClass.LARGE), (2 ** 53, FlowClass.SMALL)]]
+        expect = np.zeros((cfg.n, cfg.n))
+        for f in flows:
+            if class_filter is None or f.flow_class is FlowClass(class_filter):
+                expect[f.src, f.dst] += f.size_bits
+        got = demand_matrix(flows, cfg.n, class_filter=class_filter).cells
+        assert np.array_equal(got, expect)
+
+    def test_demand_matrix_rejects_unknown_class_without_flows(self):
+        with pytest.raises(ValueError, match="huge"):
+            demand_matrix([], 4, class_filter="huge")
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
