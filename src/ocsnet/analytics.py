@@ -97,16 +97,6 @@ def dct_cache(large_bits, k_c, distribution: FlowSizeDistribution,
     return (large_bits / k_c) * (config.R_c * recip + 1.0 / config.r)
 
 
-def dct_cache_worst_case(large_bits, k_c, config: NetworkConfig) -> float:
-    """Pessimistic variant: every large flow at the threshold size exactly."""
-    if large_bits == 0:
-        return 0.0
-    if k_c < 1:
-        raise ValueError("k_c switches required to serve large flows, got 0")
-    l = config.large_threshold_bits
-    return (large_bits / l) * (config.R_c + l / config.r) / k_c
-
-
 def rotor_component_dct(medium_bits, phi_m, k_r, config: NetworkConfig) -> float:
     """Rotor-component completion time for one ToR's medium bytes on k_r switches."""
     if medium_bits == 0:

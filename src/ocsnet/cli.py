@@ -25,7 +25,7 @@ ANALYZE_HEADER = [
 ]
 SIMULATE_HEADER = ["x", "seed", "dct_sim_s", "dct_analytic_s", "rel_err", "spill_count"]
 
-SWEEP_VARS = ("load_x", "active_fraction_x", "phi", "k_c")
+SWEEP_VARS = ("load_x", "phi", "k_c")
 
 
 def parse_sweep(text):
@@ -98,7 +98,7 @@ def analyze(config_path, profile, sweep, seeds, out_dir):
     rows = []
     for value in grid:
         x, p, pm, cfg = base_x, phi, phi_m, config
-        if var in ("load_x", "active_fraction_x"):
+        if var == "load_x":
             x = value
         elif var == "phi":
             p = pm = value
@@ -128,7 +128,7 @@ def simulate(config_path, profile, sweep, seeds, out_dir, horizon_s):
     mapping = _load(config_path, profile)
     config = config_io.network_config(mapping)
     var, grid = parse_sweep(sweep)
-    if var not in ("load_x", "active_fraction_x"):
+    if var != "load_x":
         raise click.ClickException("simulate sweeps the load only (load_x)")
     epl_graph = topology.build_expander(config.n, config.k_s, 0) if config.k_s else None
     os.makedirs(out_dir, exist_ok=True)

@@ -74,17 +74,6 @@ def _parse_value(raw):
         return raw
 
 
-def render_config(mapping) -> str:
-    """Inverse of parse_config_text, with keys in sorted order."""
-    lines = []
-    for key in sorted(mapping):
-        value = mapping[key]
-        if isinstance(value, str):
-            value = f'"{value}"'
-        lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"
-
-
 PROFILES = {
     "paper-numeric": {
         "network.n": 256,
@@ -178,20 +167,3 @@ def traffic_spec(mapping, seed=None) -> TrafficSpec:
         window_s=float(mapping.get("traffic.window_s", 1.0)),
         seed=int(mapping.get("traffic.seed", 0) if seed is None else seed),
     )
-
-
-def network_to_mapping(config: NetworkConfig) -> dict:
-    """Dotted-key form of a config; parse→materialize round-trips to identity."""
-    return {
-        "network.n": config.n,
-        "network.k_s": config.k_s,
-        "network.k_r": config.k_r,
-        "network.k_c": config.k_c,
-        "link.rate_gbps": config.r / UNIT_FACTORS["gbps"],
-        "timing.slot_us": config.delta / UNIT_FACTORS["us"],
-        "timing.rotor_reconfig_us": config.R_r / UNIT_FACTORS["us"],
-        "timing.cache_reconfig_ms": config.R_c / UNIT_FACTORS["ms"],
-        "thresholds.medium_mbit": config.medium_threshold_bits / UNIT_FACTORS["mbit"],
-        "thresholds.large_mb": config.large_threshold_bits / UNIT_FACTORS["mb"],
-        "thresholds.phi": config.threshold_phi,
-    }

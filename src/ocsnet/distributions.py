@@ -125,9 +125,6 @@ class FlowSizeDistribution:
             FlowClass.LARGE: (l, math.inf),
         }[FlowClass(cls_)]
 
-    def class_prob(self, cls_, config):
-        return self.prob_between(*self.class_bounds(cls_, config))
-
     def class_byte_fraction(self, cls_, config):
         return self.byte_fraction_between(*self.class_bounds(cls_, config))
 

@@ -45,24 +45,6 @@ class NetworkConfig:
     def k(self):
         return self.k_s + self.k_r + self.k_c
 
-    @property
-    def slot_period_s(self):
-        """One rotor slot plus the reconfiguration gap."""
-        return self.delta + self.R_r
-
-    def to_dict(self):
-        return {
-            "n": self.n, "k_s": self.k_s, "k_r": self.k_r, "k_c": self.k_c,
-            "r": self.r, "delta": self.delta, "R_r": self.R_r, "R_c": self.R_c,
-            "medium_threshold_bits": self.medium_threshold_bits,
-            "large_threshold_bits": self.large_threshold_bits,
-            "threshold_phi": self.threshold_phi,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
-
 
 def validate(config: NetworkConfig) -> NetworkConfig:
     """Fill derived thresholds and check every invariant.
@@ -161,7 +143,6 @@ class DemandMatrix:
 
     n: int
     cells: np.ndarray
-    window_s: float = 1.0
 
     def __post_init__(self):
         cells = np.asarray(self.cells, dtype=float)
@@ -172,7 +153,3 @@ class DemandMatrix:
         if np.diagonal(cells).any():
             raise ValueError("demand matrix diagonal must be zero")
         object.__setattr__(self, "cells", cells)
-
-    @property
-    def total_bits(self):
-        return float(self.cells.sum())

@@ -229,6 +229,13 @@ class _CachePlane:
 
     With ``spill`` set, a flow that finds no free port pair is refused
     rather than queued.
+
+    After every event no waiting pair has both its ports free on any
+    switch: an arrival that finds a free port pair takes it, and only a
+    release frees ports, one source and one destination on one switch. So
+    every pair that can start after a release sends from the freed source
+    or to the freed destination, and ``_refill`` looks only at that row and
+    that column.
     """
 
     def __init__(self, config: NetworkConfig, sim, spill):
@@ -241,25 +248,23 @@ class _CachePlane:
         self.free_src = [set(range(n)) for _ in range(self.k_c)]
         self.free_dst = [set(range(n)) for _ in range(self.k_c)]
         self.pending = {}            # (src, dst) -> deque of (arrival, fid, size)
-        self.pending_count = 0
         self.residual = 0.0
 
     def add(self, fid, src, dst, size, now):
         for s in range(self.k_c):
             if src in self.free_src[s] and dst in self.free_dst[s]:
                 self._start(s, fid, src, dst, size, now)
-                return True
-        if self.spill:
-            return False
-        self.pending.setdefault((src, dst), deque()).append((now, fid, size))
-        self.pending_count += 1
+                break
+        else:
+            if self.spill:
+                return False
+            self.pending.setdefault((src, dst), deque()).append((now, fid, size))
         self.residual += size
         return True
 
     def _start(self, s, fid, src, dst, size, now):
         self.free_src[s].discard(src)
         self.free_dst[s].discard(dst)
-        self.residual += size
         done = now + self.R_c + size / self.r
         self.sim.schedule(done, "cache_done", (s, fid, src, dst, size))
 
@@ -271,23 +276,25 @@ class _CachePlane:
         self.sim.record(fid, now, "cache", 1)
         self.free_src[s].add(src)
         self.free_dst[s].add(dst)
-        self._refill(s, now)
+        self._refill(s, src, dst, now)
 
-    def _refill(self, s, now):
-        while self.pending_count:
-            fs, fd = self.free_src[s], self.free_dst[s]
-            if len(self.pending) <= len(fs) * len(fd):
-                candidates = [k for k in self.pending if k[0] in fs and k[1] in fd]
-            else:
-                candidates = [(i, j) for i in fs for j in fd if (i, j) in self.pending]
+    def _refill(self, s, src, dst, now):
+        """Start the oldest waiting flows (ties to the smallest pair) that
+        the ports ``src`` and ``dst``, just freed on switch s, let start:
+        at most one from each."""
+        fs, fd, pending = self.free_src[s], self.free_dst[s], self.pending
+        while pending:
+            candidates = []
+            if src in fs:
+                candidates += [(src, j) for j in fd if (src, j) in pending]
+            if dst in fd:
+                candidates += [(i, dst) for i in fs if (i, dst) in pending]
             if not candidates:
                 return
-            key = min(candidates, key=lambda k: (self.pending[k][0][0], k))
-            arrival, fid, size = self.pending[key].popleft()
-            if not self.pending[key]:
-                del self.pending[key]
-            self.pending_count -= 1
-            self.residual -= size  # _start re-adds it
+            key = min(candidates, key=lambda k: (pending[k][0][0], k))
+            _, fid, size = pending[key].popleft()
+            if not pending[key]:
+                del pending[key]
             self._start(s, fid, key[0], key[1], size, now)
 
 
@@ -539,10 +546,15 @@ class Simulator:
                       if config.k_c > 0 else None)
         self.expander = None
         if config.k_s > 0:
-            # only the expander reads self.rng, so its graph seed is the first draw
-            graph = expander or build_expander(config.n, config.k_s,
-                                               int(self.rng.integers(2 ** 31)))
-            self.expander = _ExpanderPlane(graph, config, self.rng, self)
+            if expander is None:
+                # only the expander reads self.rng, so its graph seed is the first draw
+                expander = build_expander(config.n, config.k_s,
+                                          int(self.rng.integers(2 ** 31)))
+            elif (expander.n, expander.degree) != (config.n, config.k_s):
+                raise ValueError(
+                    f"expander has n = {expander.n} and degree {expander.degree}; "
+                    f"the config needs n = {config.n} and k_s = {config.k_s}")
+            self.expander = _ExpanderPlane(expander, config, self.rng, self)
         self._planes = [p for p in (self.rotor, self.cache, self.expander)
                         if p is not None]
         self._spill_to = self.rotor or self.expander

@@ -51,10 +51,6 @@ class ExpanderGraph:
         graph = csr_matrix(self.adjacency())
         return shortest_path(graph, method="D", unweighted=True, directed=True)
 
-    def is_connected(self) -> bool:
-        d = self.distances()
-        return bool(np.isfinite(d).all())
-
 
 def _random_derangement(n, rng):
     # resample until fixed-point free; expected O(e) tries
@@ -96,11 +92,3 @@ def mean_expected_path_length(n, k_s, seeds) -> float:
     if not vals:
         raise ValueError("no seeds to average the path length over")
     return float(np.mean(vals))
-
-
-def write_edge_list(graph: ExpanderGraph, path):
-    """Export one ``src dst`` pair per line; multi-edges repeat."""
-    with open(path, "w") as fh:
-        for m in graph.matchings:
-            for src, dst in enumerate(m):
-                fh.write(f"{src} {dst}\n")

@@ -123,7 +123,7 @@ def generate(spec: TrafficSpec, config: NetworkConfig) -> list[Flow]:
     return flows
 
 
-def demand_matrix(flows, n, window_s=1.0, class_filter=None) -> DemandMatrix:
+def demand_matrix(flows, n, class_filter=None) -> DemandMatrix:
     """Accumulate flow sizes into an n x n matrix, optionally for one class.
 
     ``np.add.at`` adds repeated pairs in flow order, so each cell gets the
@@ -136,7 +136,7 @@ def demand_matrix(flows, n, window_s=1.0, class_filter=None) -> DemandMatrix:
               (np.array([f.src for f in picked], dtype=np.intp),
                np.array([f.dst for f in picked], dtype=np.intp)),
               np.array([f.size_bits for f in picked], dtype=float))
-    return DemandMatrix(n=n, cells=cells, window_s=window_s)
+    return DemandMatrix(n=n, cells=cells)
 
 
 def variation_distance(p) -> float:

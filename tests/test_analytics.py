@@ -5,8 +5,8 @@ import pytest
 
 from ocsnet import analytics
 from ocsnet.analytics import (
-    cache_capacity_z, dct_all_to_all_rotor, dct_cache, dct_cache_worst_case,
-    dct_expander, dct_hybrid_uniform, dct_rotor, large_flow_threshold,
+    cache_capacity_z, dct_all_to_all_rotor, dct_cache, dct_expander,
+    dct_hybrid_uniform, dct_rotor, large_flow_threshold,
     optimal_split, report, rotor_component_dct, spill_fraction, throughput_star,
 )
 from ocsnet.distributions import FlowSizeDistribution, default_mix
@@ -118,12 +118,6 @@ class TestDctCache:
         dist = FlowSizeDistribution.point(size)
         got = dct_cache(size, 1, dist, cfg)
         assert got == pytest.approx(cfg.R_c + size / cfg.r, rel=1e-12)
-
-    def test_worst_case_dominates_expectation(self, cfg):
-        dist = FlowSizeDistribution.two_point_by_bytes(2e8, 8e9, 0.5)
-        exp = dct_cache(1e12, 16, dist, cfg)
-        worst = dct_cache_worst_case(1e12, 16, cfg)
-        assert worst >= exp
 
 
 class TestOptimalSplit:

@@ -1,11 +1,8 @@
-import math
-
 import pytest
 from click.testing import CliRunner
 
 from ocsnet import config_io
 from ocsnet.cli import main, parse_sweep
-from ocsnet.model import NetworkConfig, validate
 from ocsnet.topology import mean_expected_path_length
 
 
@@ -46,21 +43,6 @@ class TestConfigGrammar:
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError, match="line 1"):
             config_io.parse_config_text("network.n 64\n")
-
-    def test_render_parse_round_trip(self):
-        mapping = {"network.n": 64, "link.rate_gbps": 2.5, "traffic.model": "skewed"}
-        assert config_io.parse_config_text(config_io.render_config(mapping)) == mapping
-
-    def test_network_config_round_trip(self):
-        cfg = validate(NetworkConfig(n=64, k_s=2, k_r=8, k_c=4, r=25e9,
-                                     delta=200e-6, R_r=20e-6, R_c=10e-3))
-        text = config_io.render_config(config_io.network_to_mapping(cfg))
-        back = config_io.network_config(config_io.parse_config_text(text))
-        for name in ("n", "k_s", "k_r", "k_c"):
-            assert getattr(back, name) == getattr(cfg, name)
-        for name in ("r", "delta", "R_r", "R_c",
-                     "medium_threshold_bits", "large_threshold_bits"):
-            assert getattr(back, name) == pytest.approx(getattr(cfg, name), rel=1e-12)
 
 
 class TestProfiles:

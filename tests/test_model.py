@@ -62,10 +62,6 @@ class TestValidate:
         cfg = validate(base_config())
         assert validate(cfg) == cfg
 
-    def test_dict_round_trip(self):
-        cfg = validate(base_config())
-        assert NetworkConfig.from_dict(cfg.to_dict()) == cfg
-
 
 class TestClassOf:
     def test_below_medium_is_small(self):
@@ -121,7 +117,3 @@ class TestDemandMatrix:
     def test_negative_entry_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             DemandMatrix(n=2, cells=np.array([[0.0, -1.0], [0.0, 0.0]]))
-
-    def test_total(self):
-        dm = DemandMatrix(n=2, cells=np.array([[0.0, 3.0], [4.0, 0.0]]))
-        assert dm.total_bits == 7.0

@@ -263,6 +263,13 @@ class TestExpanderPlane:
         mean_hops = np.mean([rec.hops for rec in res.records])
         assert mean_hops == pytest.approx(expected_path_length(g), abs=0.25)
 
+    @pytest.mark.parametrize("n,degree", [(16, 5), (4, 2), (8, 3)])
+    def test_expander_for_another_network_rejected(self, n, degree):
+        cfg = cfg_of(8, 2, 2, 0)
+        flows = [make_flow(0, 1, 1e5, 0.0, cfg)]
+        with pytest.raises(ValueError, match="expander has"):
+            simulator.run(cfg, flows, expander=build_expander(n, degree, seed=0))
+
     def test_small_flows_fall_back_to_rotor_without_static_switches(self):
         cfg = cfg_of(8, 0, 4, 0)
         res = simulator.run(cfg, [make_flow(0, 1, 1e5, 0.0, cfg)])
