@@ -185,7 +185,7 @@ def dct_hybrid_uniform(x, distribution: FlowSizeDistribution, phi_m,
 
     parts = []
     if b_s > 0:
-        if epl is None:
+        if epl is None and config.k_s > 0:
             raise ValueError("epl required: distribution has small-flow mass")
         parts.append(expander_component_dct(base * b_s, config.k_s, epl, config))
     if b_m > 0:

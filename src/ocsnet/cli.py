@@ -173,8 +173,15 @@ def _analytic_dct(config, dist, flows, x, epl_graph):
         phi_m = 1.0
     epl = topology.expected_path_length(epl_graph) if epl_graph is not None else None
     # the simulator serves each class on the switches actually configured
-    return analytics.dct_hybrid_uniform(x, dist, phi_m, config, epl=epl,
-                                        split=(config.k_r, config.k_c))
+    try:
+        return analytics.dct_hybrid_uniform(x, dist, phi_m, config, epl=epl,
+                                            split=(config.k_r, config.k_c))
+    except ValueError as exc:
+        # the simulator serves a class whose switch type is absent on another
+        # plane, but the closed form has no term for that
+        click.echo(f"x={x:g}: no closed form for this switch mix ({exc}); "
+                   "dct_analytic_s and rel_err are nan", err=True)
+        return math.nan
 
 
 @main.command()

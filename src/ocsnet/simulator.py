@@ -298,65 +298,61 @@ class _CachePlane:
             self._start(s, fid, key[0], key[1], size, now)
 
 
-def _max_min_fill(flows, capacity):
-    """Set every flow's rate to its max-min fair share by progressive filling.
+def _max_min_fill(flows, on_edge, capacity, edges):
+    """Set the max-min fair rate of every flow linked to ``edges`` by
+    progressive filling; returns the bottleneck edges in the order they
+    were frozen.
 
-    ``flows`` maps a flow id to its ``[residual, rate, path_edges, n_hops]``
-    state and ``capacity`` maps an edge to its bits per second. The link
-    with the smallest fair share (capacity left / unfixed flows on it, ties
-    to the smallest edge) freezes its flows at that share, which is taken
-    from the capacity left on their other links (Bertsekas & Gallager,
-    *Data Networks*, section 6.5.2). A heap of ``(share, edge)`` keys finds
-    that link; a key is pushed whenever a link's share changes, and a
-    popped key that no longer matches its link's share is skipped. Heap
-    order is ``min()``'s order over the same tuples, and every subtraction
-    in a level uses the same share, so the rates are bit-identical to a
-    rescan of every loaded link per level. Returns the bottleneck edges in
-    the order they were frozen.
-
-    The allocation splits over the connected components of the flow-link
-    graph. A component's keys, shares and subtractions involve only its
-    own links, and the heap pops them in the same relative order whatever
-    other keys it holds, because two components share no edge and so no
-    key of one equals a key of another. Filling a sub-dict that is a union
-    of components therefore gives its flows bit-for-bit the rates that
-    filling every flow would.
+    ``flows`` maps a flow id to its ``[residual, rate, path_edges]`` state,
+    ``on_edge`` maps each loaded edge to the ids of the flows on it and
+    ``capacity`` maps an edge to its bits per second. One walk from
+    ``edges`` over ``on_edge`` finds the linked flows, directly or through
+    other flows, and the links they load. The link with the smallest fair
+    share (capacity left / unfixed flows on it, ties to the smallest edge)
+    freezes its unfixed flows at that share, which is taken from the
+    capacity left on their other links (Bertsekas & Gallager, *Data
+    Networks*, section 6.5.2). A heap of ``(share, edge)`` keys finds that
+    link; a key is pushed whenever a link's share changes, and a popped key
+    that no longer matches its link's share is skipped. Heap order is
+    ``min()``'s order over the same tuples, and every subtraction in a
+    level uses the same share, so the rates are bit-identical to a rescan
+    of every loaded link per level. Neither ``flows``' paths nor
+    ``on_edge`` is changed.
     """
-    cap = {}
-    on_edge = {}
-    for fid, state in flows.items():
-        for e in state[2]:
-            users = on_edge.get(e)
-            if users is None:
-                on_edge[e] = {fid}
-                cap[e] = capacity[e]
-            else:
-                users.add(fid)
-    heap = [(cap[e] / len(users), e) for e, users in on_edge.items()]
+    cap, left, unfixed = {}, {}, set()   # every flow the walk reaches starts unfixed
+    stack = list(edges)
+    while stack:
+        e = stack.pop()
+        users = on_edge.get(e)
+        if e in cap or not users:
+            continue
+        cap[e], left[e] = capacity[e], len(users)
+        for fid in users - unfixed:
+            unfixed.add(fid)
+            stack += flows[fid][2]
+    heap = [(cap[e] / n, e) for e, n in left.items()]
     heapq.heapify(heap)
     order = []
-    unfixed = len(flows)
     while unfixed:
         share, edge = heapq.heappop(heap)
-        users = on_edge.get(edge)
-        if not users or share != cap[edge] / len(users):
+        n = left[edge]
+        if not n or share != cap[edge] / n:
             continue
-        del on_edge[edge]
+        left[edge] = 0
         order.append(edge)
-        unfixed -= len(users)
         changed = set()
-        for fid in users:
+        for fid in on_edge[edge] & unfixed:
+            unfixed.discard(fid)
             state = flows[fid]
             state[1] = share
             for e in state[2]:
                 if e != edge:
-                    on_edge[e].discard(fid)
+                    left[e] -= 1
                     cap[e] -= share
                     changed.add(e)
         for e in changed:
-            left = len(on_edge[e])
-            if left:
-                heapq.heappush(heap, (cap[e] / left, e))
+            if left[e]:
+                heapq.heappush(heap, (cap[e] / left[e], e))
     return order
 
 
@@ -366,7 +362,6 @@ class _ExpanderPlane:
     def __init__(self, graph: ExpanderGraph, config: NetworkConfig, rng, sim):
         self.sim = sim
         self.graph = graph
-        self.rate = config.r
         self.capacity = {}
         mult = graph.multiplicity
         for u, v in np.argwhere(mult > 0):
@@ -375,10 +370,8 @@ class _ExpanderPlane:
         self.adj = [np.nonzero(row)[0] for row in graph.adjacency()]
         self._hop_tables = {}        # dst -> _hops_to(dst)
         self.rng = rng
-        self.flows = {}              # fid -> [residual, rate, path_edges, n_hops]
+        self.flows = {}              # fid -> [residual, rate, path_edges]
         self.on_edge = {}            # edge -> fids of the active flows on it
-        self.component = {}          # fid -> fids linked to it through shared links,
-                                     # one set shared by the whole component
         self.last_t = 0.0
         self.version = 0
         self.residual = 0.0
@@ -387,24 +380,11 @@ class _ExpanderPlane:
         self._advance(now)
         path = self._sample_path(src, dst)
         edges = list(zip(path[:-1], path[1:]))
-        self.flows[fid] = [float(size), 0.0, edges, len(edges)]
-        # merge the components the new flow links, the smaller into the larger
-        linked = {fid}
+        self.flows[fid] = [float(size), 0.0, edges]
         for e in edges:
-            users = self.on_edge.setdefault(e, set())
-            for other in users:
-                comp = self.component[other]
-                if comp is not linked:
-                    if len(comp) > len(linked):
-                        comp, linked = linked, comp
-                    linked |= comp
-                    for f in comp:
-                        self.component[f] = linked
-            users.add(fid)
-        self.component[fid] = linked
+            self.on_edge.setdefault(e, set()).add(fid)
         self.residual += size
-        self._recompute(now, self.flows if len(linked) == len(self.flows)
-                        else {f: self.flows[f] for f in linked})
+        self._recompute(now, edges)
         return True
 
     def _hops_to(self, dst):
@@ -468,37 +448,26 @@ class _ExpanderPlane:
                 self.sim.plane_bits["expander"] += sent
         self.last_t = now
 
-    def _split(self, edges):
-        """Give each group of active flows linked to ``edges``, directly or
-        through other active flows, its own component; returns every flow
-        in them, keyed by flow id."""
-        linked = {}
-        for edge in edges:
-            for start in self.on_edge.get(edge, ()):
-                if start in linked:
-                    continue
-                comp, stack = {start}, [start]
-                while stack:
-                    for e in self.flows[stack.pop()][2]:
-                        for other in self.on_edge[e]:
-                            if other not in comp:
-                                comp.add(other)
-                                stack.append(other)
-                for f in comp:
-                    linked[f] = self.flows[f]
-                    self.component[f] = comp
-        return linked
-
-    def _recompute(self, now, linked):
-        """Re-fill the rates of ``linked``, the flows that share links with
+    def _recompute(self, now, edges):
+        """Re-fill the rates of the flows linked to ``edges``, the links of
         the flows just added or finished, directly or through other flows,
-        and schedule the next completion. Every other flow keeps its rate:
-        its links carry the same flows as at its last filling (see
-        ``_max_min_fill``)."""
+        and schedule the next completion.
+
+        Every other flow keeps its rate, which is the rate a filling of
+        every active flow would give it: the connected components of the
+        flow-link graph that ``edges`` does not touch carry the same flows
+        on the same links as at their last filling. A component's keys,
+        shares and subtractions involve only its own links, and the heap
+        pops them in the same relative order whatever other keys it holds,
+        because two components share no edge and so no key of one equals a
+        key of another. Filling them again would give back the rates they
+        already have, bit for bit, so only the components of ``edges`` are
+        filled.
+        """
         self.version += 1
         if not self.flows:
             return
-        _max_min_fill(linked, self.capacity)
+        _max_min_fill(self.flows, self.on_edge, self.capacity, edges)
         horizon = min(
             state[0] / state[1] for state in self.flows.values() if state[1] > 0
         )
@@ -512,7 +481,6 @@ class _ExpanderPlane:
         edges = []
         for fid in done:
             st = self.flows.pop(fid)
-            del self.component[fid]
             for e in st[2]:
                 users = self.on_edge[e]
                 users.discard(fid)
@@ -522,8 +490,8 @@ class _ExpanderPlane:
             self.residual -= st[0]   # tiny float remainder
             self.sim.delivered_bits += st[0]
             self.sim.plane_bits["expander"] += st[0]
-            self.sim.record(fid, now, "expander", st[3])
-        self._recompute(now, self._split(edges))
+            self.sim.record(fid, now, "expander", len(st[2]))
+        self._recompute(now, edges)
 
 
 class Simulator:

@@ -18,6 +18,7 @@ from .distributions import FlowSizeDistribution
 from .model import DemandMatrix, Flow, FlowClass, NetworkConfig
 
 TRACE_HEADER = ["arrival_s", "src", "dst", "size_bits", "class"]
+_CLASSES = np.array([FlowClass.SMALL, FlowClass.MEDIUM, FlowClass.LARGE], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -108,19 +109,12 @@ def generate(spec: TrafficSpec, config: NetworkConfig) -> list[Flow]:
         dst = dest_pool[(pos + offs) % len(dest_pool)]
 
     order = np.argsort(arrivals, kind="stable")
-    m_thr = config.medium_threshold_bits
-    l_thr = config.large_threshold_bits
-    flows = []
-    for s, d, size, t in zip(src[order].tolist(), dst[order].tolist(),
-                             sizes[order].tolist(), arrivals[order].tolist()):
-        if size < m_thr:
-            fc = FlowClass.SMALL
-        elif size < l_thr:
-            fc = FlowClass.MEDIUM
-        else:
-            fc = FlowClass.LARGE
-        flows.append(Flow(s, d, size, t, fc))
-    return flows
+    sizes = sizes[order]
+    # class_of's half-open intervals: a size at a threshold is in the upper class
+    classes = _CLASSES[np.searchsorted(
+        (config.medium_threshold_bits, config.large_threshold_bits), sizes, side="right")]
+    return list(map(Flow, src[order].tolist(), dst[order].tolist(), sizes.tolist(),
+                    arrivals[order].tolist(), classes))
 
 
 def demand_matrix(flows, n, class_filter=None) -> DemandMatrix:

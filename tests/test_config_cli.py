@@ -181,6 +181,25 @@ class TestCommands:
         assert [row.split(",")[1] for row in rows] == ["7", "8"]
         assert (d / "trace_x0.2_seed8.csv").exists()
 
+    @pytest.mark.parametrize("k_s, k_r, k_c, lacking", [
+        (0, 4, 4, "k_s"), (2, 0, 4, "k_r"), (2, 4, 0, "k_c")])
+    def test_simulate_a_mix_without_a_closed_form_writes_nan(
+            self, runner, tmp_path, k_s, k_r, k_c, lacking):
+        p = tmp_path / "cfg.txt"
+        p.write_text(f"network.n = 16\nnetwork.k_s = {k_s}\nnetwork.k_r = {k_r}\n"
+                     f"network.k_c = {k_c}\ntraffic.window_s = 0.004\n")
+        d = tmp_path / "out"
+        out = runner.invoke(main, ["simulate", "--config", str(p),
+                                   "--sweep", "load_x=0.3:0.3:0.1", "--out", str(d)])
+        assert out.exit_code == 0, out.output
+        assert f"{lacking} switches required" in out.stderr
+        lines = (d / "simulate.csv").read_text().splitlines()
+        x, seed, dct_sim, dct_ana, rel_err, _ = lines[1].split(",")
+        assert float(dct_sim) > 0
+        assert (dct_ana, rel_err) == ("nan", "nan")
+        assert (d / "trace_x0.3_seed0.csv").exists()
+        assert (d / "flows_x0.3_seed0.csv").exists()
+
     @pytest.mark.parametrize("command", [
         ["analyze", "--sweep", "load_x=0.5:0.5:0.1"],
         ["epl", "-n", "16", "-k", "4"],

@@ -7,8 +7,10 @@ the bottleneck edges in the order it froze them). The arithmetic of the
 two fillers is the same, so rates must agree exactly, not approximately.
 
 The plane re-fills only the flows linked to an added or finished flow
-through shared links; after every such re-filling, each active flow's
-rate must equal the rate a filling of every active flow gives.
+through shared links, which the filler finds by walking the plane's own
+edge->flow incidence from that flow's links; after every such
+re-filling, each active flow's rate must equal the rate the oracle's
+filling of every active flow gives.
 """
 import copy
 
@@ -85,14 +87,23 @@ def _plane(n, k_s, graph_seed, rng_seed):
 
 
 def _flows(paths):
-    return {fid: [1.0, 0.0, list(zip(p[:-1], p[1:])), len(p) - 1]
-            for fid, p in enumerate(paths)}
+    return {fid: [1.0, 0.0, list(zip(p[:-1], p[1:]))] for fid, p in enumerate(paths)}
+
+
+def _incidence(flows):
+    on_edge = {}
+    for fid, state in flows.items():
+        for e in state[2]:
+            on_edge.setdefault(e, set()).add(fid)
+    return on_edge
 
 
 def _assert_same_filling(flows, capacity):
+    """The filler, walking from every loaded link, against the oracle."""
     expect, got = copy.deepcopy(flows), copy.deepcopy(flows)
     oracle_order = oracle_fill(expect, capacity)
-    order = simulator._max_min_fill(got, capacity)
+    on_edge = _incidence(got)
+    order = simulator._max_min_fill(got, on_edge, capacity, list(on_edge))
     assert order == oracle_order
     assert {fid: st[1] for fid, st in got.items()} == {
         fid: st[1] for fid, st in expect.items()}
@@ -166,9 +177,9 @@ def test_streamed_default_mix_is_unchanged_under_the_oracle(monkeypatch):
 
     calls = []
 
-    def counted_oracle(flows, capacity):
+    def counted_oracle(flows, on_edge, capacity, edges):
         calls.append(len(flows))
-        return oracle_fill(flows, capacity)
+        return oracle_fill(flows, capacity)  # fills every active flow
 
     monkeypatch.setattr(simulator, "_max_min_fill", counted_oracle)
     monkeypatch.setattr(simulator._ExpanderPlane, "_sample_path", oracle_sample_path)
@@ -212,25 +223,10 @@ def _finish(plane, fids, now):
 
 def _assert_fresh(plane):
     expect = copy.deepcopy(plane.flows)
-    simulator._max_min_fill(expect, plane.capacity)
+    oracle_fill(expect, plane.capacity)
     assert {fid: st[1] for fid, st in plane.flows.items()} == {
         fid: st[1] for fid, st in expect.items()}
-    on_edge = {}
-    for fid, state in plane.flows.items():
-        for e in state[2]:
-            on_edge.setdefault(e, set()).add(fid)
-    assert plane.on_edge == on_edge
-    # each flow's component is the set of flows it reaches through shared
-    # links, and every member holds the same set
-    assert plane.component.keys() == plane.flows.keys()
-    for fid, comp in plane.component.items():
-        reach, stack = {fid}, [fid]
-        while stack:
-            for e in plane.flows[stack.pop()][2]:
-                stack += on_edge[e] - reach
-                reach |= on_edge[e]
-        assert comp == reach
-        assert all(plane.component[f] is comp for f in comp)
+    assert plane.on_edge == _incidence(plane.flows)
 
 
 @settings(max_examples=100, deadline=None)
@@ -283,14 +279,22 @@ def _add_on_path(plane, fid, path):
 
 
 def _bridged_plane(monkeypatch):
-    """The plane with f0-f4 added, and the flow ids of each filling."""
+    """The plane with f0-f4 added, and the ids of the flows each filling
+    set a rate on."""
     plane = _driven_plane(8, 2, 0, 0)
     plane.capacity = dict(_BRIDGED_CAPS)
     filled, fill = [], simulator._max_min_fill
 
-    def spied_fill(flows, capacity):
-        filled.append(set(flows))
-        return fill(flows, capacity)
+    def spied_fill(flows, on_edge, capacity, edges):
+        rates = {fid: st[1] for fid, st in flows.items()}
+        for st in flows.values():
+            st[1] = None
+        order = fill(flows, on_edge, capacity, edges)
+        filled.append({fid for fid, st in flows.items() if st[1] is not None})
+        for fid, st in flows.items():
+            if st[1] is None:
+                st[1] = rates[fid]
+        return order
 
     monkeypatch.setattr(simulator, "_max_min_fill", spied_fill)
     for fid, path in enumerate(_COMPONENTS):

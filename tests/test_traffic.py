@@ -62,14 +62,21 @@ class TestGenerate:
             generate(spec, cfg)
 
     def test_classes_match_thresholds(self, cfg):
-        flows = generate(TrafficSpec("uniform", 0.2, default_mix(), window_s=0.01, seed=0), cfg)
-        for f in flows[:2000]:
-            if f.size_bits < cfg.medium_threshold_bits:
-                assert f.flow_class is FlowClass.SMALL
-            elif f.size_bits < cfg.large_threshold_bits:
-                assert f.flow_class is FlowClass.MEDIUM
-            else:
-                assert f.flow_class is FlowClass.LARGE
+        # the default mix, then every flow exactly at the medium or the large threshold
+        cases = [(default_mix(), None)] + [
+            (FlowSizeDistribution.point(size), size)
+            for size in (cfg.medium_threshold_bits, cfg.large_threshold_bits)]
+        for dist, at in cases:
+            flows = generate(TrafficSpec("uniform", 0.2, dist, window_s=0.01, seed=0), cfg)
+            assert flows
+            assert at is None or {f.size_bits for f in flows} == {at}
+            for f in flows[:2000]:
+                if f.size_bits < cfg.medium_threshold_bits:
+                    assert f.flow_class is FlowClass.SMALL
+                elif f.size_bits < cfg.large_threshold_bits:
+                    assert f.flow_class is FlowClass.MEDIUM
+                else:
+                    assert f.flow_class is FlowClass.LARGE
 
     def test_demand_matrix_conserves_bytes(self, cfg):
         flows = generate(TrafficSpec("uniform", 0.2, default_mix(), window_s=0.01, seed=0), cfg)
