@@ -195,6 +195,19 @@ def dct_hybrid_uniform(x, distribution: FlowSizeDistribution, phi_m,
     return max(parts) if parts else 0.0
 
 
+def missing_switches(distribution: FlowSizeDistribution, config: NetworkConfig,
+                     split) -> list[tuple[str, FlowClass]]:
+    """The ``(switch count, flow class)`` pairs, of k_s for small, k_r for
+    medium and k_c for large flows, whose count is zero under ``split`` =
+    (k_r, k_c) although the class carries bytes; ``dct_hybrid_uniform``
+    has no value then."""
+    k_r, k_c = split
+    return [(name, cls) for name, cls, k in (("k_s", FlowClass.SMALL, config.k_s),
+                                             ("k_r", FlowClass.MEDIUM, k_r),
+                                             ("k_c", FlowClass.LARGE, k_c))
+            if k < 1 and distribution.class_byte_fraction(cls, config) > 0]
+
+
 def hybrid_alpha(x, distribution: FlowSizeDistribution, k_c_star,
                  config: NetworkConfig) -> float:
     """Slope coefficient of the hybrid bound: per-unit cache completion time."""
@@ -305,7 +318,8 @@ def report(x, phi, phi_m, distribution: FlowSizeDistribution,
     ``epl`` is the mean path length of an expander built from all k
     switches; ``epl_static`` that of the degree-k_s expander on which the
     hybrid serves its small flows, needed when the distribution has
-    small-flow mass.
+    small-flow mass. ``dct_hybrid_s`` is nan where a flow class with bytes
+    has no switches to serve it (``missing_switches``).
     """
     b_l = distribution.class_byte_fraction(FlowClass.LARGE, config)
     b_m = distribution.class_byte_fraction(FlowClass.MEDIUM, config)
@@ -316,8 +330,11 @@ def report(x, phi, phi_m, distribution: FlowSizeDistribution,
         k_r_star, k_c_star = (total, 0) if b_l <= 0 else (0, total)
 
     if x > 0:
-        dct_hyb = dct_hybrid_uniform(x, distribution, phi_m, config, epl=epl_static,
-                                     split=(k_r_star, k_c_star))
+        if missing_switches(distribution, config, (k_r_star, k_c_star)):
+            dct_hyb = math.nan
+        else:
+            dct_hyb = dct_hybrid_uniform(x, distribution, phi_m, config,
+                                         epl=epl_static, split=(k_r_star, k_c_star))
         alpha = hybrid_alpha(x, distribution, k_c_star, config) if k_c_star else 0.0
         l_exp = throughput_star("expander", x, phi, epl=epl)
         l_rot = throughput_star("rotor", x, phi, config=config)

@@ -110,6 +110,11 @@ def analyze(config_path, profile, sweep, seeds, out_dir):
             rep = analytics.report(x, p, pm, dist, cfg, epl_of[cfg.k], epl_static)
         except ValueError as exc:
             raise click.ClickException(f"grid point {var}={value}: {exc}")
+        if math.isnan(rep.dct_hybrid_s):
+            for name, cls in analytics.missing_switches(dist, cfg,
+                                                        (rep.k_r_star, rep.k_c_star)):
+                click.echo(f"{var}={value}: {name} switches required to serve "
+                           f"{cls.value} flows, got 0; dct_hybrid_s is nan", err=True)
         rows.append([_fmt(getattr(rep, col)) for col in ANALYZE_HEADER])
 
     path = _write_csv(out_dir, "analyze.csv", ANALYZE_HEADER, rows)

@@ -25,7 +25,8 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +38,7 @@ _TOL = 1e-6  # bits
 RESULT_HEADER = ["flow_id", "arrival_s", "completion_s", "plane", "hops"]
 
 
-@dataclass(frozen=True, slots=True)
-class FlowRecord:
+class FlowRecord(NamedTuple):
     flow_id: int
     arrival_s: float
     completion_s: float
@@ -63,6 +63,13 @@ class _RotorPlane:
     Switch s is phase-shifted by s slots, so with k_r <= n-1 switches a
     source reaches k_r distinct destinations each slot. Relay parking
     space is capped at one slot-full per (relay, destination) pair.
+
+    Each (src, dst) pair keeps its admitted flows in a FIFO threaded
+    through a flow log: log entry f holds the flow id ``log_fid[f]``, the
+    pair's admitted bits up to and including that flow ``log_target[f]``,
+    and the pair's next entry ``log_next[f]`` (-1 for none). ``head`` and
+    ``tail``, indexed by ``src * n + dst``, hold a pair's oldest waiting
+    entry (-1 when none waits) and its last admitted entry.
     """
 
     def __init__(self, config: NetworkConfig, sim):
@@ -76,20 +83,28 @@ class _RotorPlane:
         n = self.n
         self.queue = np.zeros((n, n))
         self.relay_total = np.zeros((n, n))
-        self.relay_chunks = {}
+        self.relay_chunks = {}          # (relay, dst) -> deque of [src, bits]
         self.delivered = np.zeros((n, n))
-        self.injected_pair = {}         # (src, dst) -> bits admitted so far
         self.pair_used_relay = np.zeros((n, n), dtype=bool)
-        self.pair_flows = {}
-        self.next_target = np.full((n, n), np.inf)
-        self.pending = []               # (arrival, src, dst, bits, fid)
+        self.head = np.full(n * n, -1)
+        self.tail = np.full(n * n, -1)
+        self.next_target = np.full(n * n, np.inf)   # log_target of each head
+        self.log_fid = np.empty(0, dtype=np.int64)
+        self.log_target = np.empty(0)
+        self.log_next = np.empty(0, dtype=np.int64)
+        self.n_log = 0
+        self.pending = []               # arrival, src, dst, bits, fid per flow
         self.pending_bits = 0.0
         self.in_network = 0.0           # queue + relay bits, as of the last slot end
         self.scheduled = False
         self._ids = np.arange(n)
+        self._dst = (self._ids + self._ids[:, None]) % n     # [shift, src] -> dst
+        self._cell = self._ids * n + self._dst                # flat (src, dst)
+        self._flat = tuple(a.reshape(-1) for a in (self.queue, self.relay_total,
+                                                   self.delivered))
 
     def add(self, fid, src, dst, size, now):
-        self.pending.append((now, src, dst, float(size), fid))
+        self.pending.extend((now, src, dst, float(size), fid))
         self.pending_bits += size
         if not self.scheduled:
             slot = math.ceil(max(now, 0.0) / self.period - 1e-12)
@@ -118,61 +133,97 @@ class _RotorPlane:
             self.scheduled = False
 
     def _admit(self, slot_start):
-        """Queue the pending flows that arrived by ``slot_start``.
+        """Queue the pending flows that arrived by ``slot_start`` and append
+        them to their pairs' FIFOs.
 
         ``np.add.at`` adds repeated pairs in index order, so each queue
-        entry gets the same float sums as one ``+=`` per flow.
+        entry gets the same float sums as one ``+=`` per flow. Targets are
+        summed one rank at a time: a pair's k-th new flow adds its bits to
+        the target of its (k-1)-th, or of the pair's last admitted entry,
+        which is the sum one ``+=`` per flow gives. ``pending_bits`` is
+        reduced by a left-to-right cumsum, which subtracts in the same order.
         """
-        keep, src, dst, bits = [], [], [], []
-        injected = self.injected_pair
-        for item in self.pending:
-            if item[0] <= slot_start + 1e-12:
-                _, s, d, b, fid = item
-                self.pending_bits -= b
-                pair = (s, d)
-                total = injected[pair] = injected.get(pair, 0.0) + b
-                dq = self.pair_flows.setdefault(pair, deque())
-                dq.append((fid, total))
-                if len(dq) == 1:
-                    self.next_target[s, d] = total
-                src.append(s)
-                dst.append(d)
-                bits.append(b)
-            else:
-                keep.append(item)
-        self.pending = keep
-        if bits:
-            np.add.at(self.queue, (src, dst), bits)
+        pending = np.fromiter(self.pending, float, len(self.pending)).reshape(-1, 5)
+        now = pending[:, 0] <= slot_start + 1e-12
+        if not now.any():
+            return
+        self.pending = pending[~now].ravel().tolist()
+        _, src, dst, bits, fid = pending[now].T
+        src, dst, fid = (a.astype(np.int64) for a in (src, dst, fid))
+        self.pending_bits = float(np.cumsum(np.r_[self.pending_bits, -bits])[-1])
+        np.add.at(self.queue, (src, dst), bits)
+
+        pair = src * self.n + dst
+        order = np.argsort(pair, kind="stable")
+        pair, bits, fid = pair[order], bits[order], fid[order]
+        starts = np.r_[True, pair[1:] != pair[:-1]]
+        first = np.flatnonzero(starts)
+        last = np.r_[first[1:], pair.size] - 1
+        group = np.cumsum(starts) - 1
+        rank = np.arange(pair.size) - first[group]
+        keys = pair[first]
+        prev = self.tail[keys]
+        linked = prev >= 0
+        total = np.zeros(keys.size)
+        total[linked] = self.log_target[prev[linked]]
+        target = np.empty(pair.size)
+        by_rank = np.argsort(rank, kind="stable")
+        bounds = np.cumsum(np.bincount(rank))
+        for lo, hi in zip(np.r_[0, bounds[:-1]], bounds):
+            at = by_rank[lo:hi]
+            g = group[at]
+            total[g] += bits[at]
+            target[at] = total[g]
+
+        base = self.n_log
+        self.n_log += pair.size
+        if self.n_log > self.log_fid.size:
+            size = max(self.n_log, 2 * self.log_fid.size)
+            self.log_fid, self.log_target, self.log_next = (
+                np.resize(a, size) for a in (self.log_fid, self.log_target,
+                                             self.log_next))
+        idx = base + np.arange(pair.size)
+        self.log_fid[idx] = fid
+        self.log_target[idx] = target
+        self.log_next[idx] = idx + 1
+        self.log_next[idx[last]] = -1
+        self.log_next[prev[linked]] = idx[first[linked]]
+        empty = self.head[keys] < 0
+        self.head[keys[empty]] = idx[first[empty]]
+        self.next_target[keys[empty]] = target[first[empty]]
+        self.tail[keys] = idx[last]
 
     def _serve_switch(self, shift):
-        n = self.n
-        i = self._ids
-        j = (i + shift) % n
-        cap = np.full(n, self.slot_bits)
+        """One matching: direct bits, relayed bits on their second hop, then
+        spare capacity admits fresh relay bits."""
+        cell = self._cell[shift]
+        queue, relay_total, delivered = self._flat
         # direct bits for the matching's destination
-        q = self.queue[i, j]
-        d1 = np.minimum(q, cap)
-        self.queue[i, j] = q - d1
-        cap -= d1
-        self.delivered[i, j] += d1
+        q = queue[cell]
+        d1 = np.minimum(q, self.slot_bits)
+        queue[cell] = q - d1
+        cap = self.slot_bits - d1
+        delivered[cell] += d1
         sent = float(d1.sum())
         self.sim.delivered_bits += sent
         self.sim.plane_bits["rotor"] += sent
         # second hop of previously relayed bits
-        rt = self.relay_total[i, j]
+        rt = relay_total[cell]
         d2 = np.minimum(rt, cap)
-        hot = np.nonzero(d2 > _TOL)[0]
+        hot = (d2 > _TOL).nonzero()[0]
         if hot.size:
-            self.relay_total[i[hot], j[hot]] = rt[hot] - d2[hot]
-            cap[hot] -= d2[hot]
-            for v in hot:
-                self._drain_chunks(int(v), int(j[v]), float(d2[v]))
+            d2 = d2[hot]
+            relay_total[cell[hot]] = rt[hot] - d2
+            cap[hot] -= d2
+            dst = self._dst[shift]
+            for v, d, amount in zip(hot.tolist(), dst[hot].tolist(), d2.tolist()):
+                self._drain_chunks(v, d, amount)
         # first hop of fresh two-hop traffic, spare capacity only
-        spare = np.nonzero(cap > _TOL)[0]
+        spare = (cap > _TOL).nonzero()[0]
         if spare.size:
-            backlog = self.queue[spare].sum(axis=1)
-            for v in spare[backlog > _TOL]:
-                self._admit_relay(int(v), int(j[v]), float(cap[v]))
+            spare = spare[self.queue[spare].max(axis=1) > _TOL]
+            if spare.size:
+                self._admit_relay(spare, self._dst[shift][spare], cap[spare])
 
     def _drain_chunks(self, relay, dst, amount):
         chunks = self.relay_chunks[(relay, dst)]
@@ -191,37 +242,56 @@ class _RotorPlane:
             del self.relay_chunks[(relay, dst)]
 
     def _admit_relay(self, src, relay, cap):
-        row = self.queue[src]
-        for d in np.argsort(row)[::-1]:
-            d = int(d)
-            bits = row[d]
-            if bits <= _TOL:
-                break
-            if d == relay:
-                continue
-            room = self.slot_bits - self.relay_total[relay, d]
-            if room <= _TOL:
-                continue
-            take = min(bits, cap, room)
-            self.queue[src, d] -= take
-            self.relay_total[relay, d] += take
-            self.relay_chunks.setdefault((relay, d), deque()).append([src, take])
-            self.pair_used_relay[src, d] = True
-            cap -= take
-            if cap <= _TOL:
-                break
+        """Park bits of the sources ``src`` at their matched ``relay`` nodes,
+        up to each source's spare ``cap``, in one pass for all of them.
+
+        Per source this is a greedy walk over its queue row in
+        ``argsort(row)[::-1]`` order: stop at the first entry of at most
+        ``_TOL`` bits, skip the relay itself and destinations whose parking
+        at the relay has at most ``_TOL`` room, take ``min(bits, cap,
+        room)`` and stop once cap is at most ``_TOL``. One 2-D pass gives
+        the same floats. The matching is a permutation, so the sources'
+        queue rows, the relays' parking rows and the chunk keys are
+        disjoint. ``argsort`` along axis 1 orders each row as the 1-D
+        ``argsort`` does, ties included. The cap left before each step is a
+        left-to-right ``cumsum`` over ``[cap, -w0, -w1, ...]``, with ``w =
+        min(bits, room)`` where the walk takes and 0.0 where it skips,
+        because ``a - b == a + (-b)`` in IEEE 754 (``cap - cumsum(w)``
+        rounds differently). That cap never grows, so the walk takes
+        ``min(w, cap left)`` wherever w > 0 and the cap left is above
+        ``_TOL``, and nowhere after.
+        """
+        queue = self.queue[src]
+        room = self.slot_bits - self.relay_total[relay]
+        w = np.where((queue > _TOL) & (self._ids != relay[:, None]) & (room > _TOL),
+                     np.minimum(queue, room), 0.0)
+        order = np.argsort(queue, axis=1)[:, ::-1]
+        w = w.take(order + self._ids[:src.size, None] * self.n)
+        left = np.cumsum(np.concatenate((cap[:, None], -w), axis=1), axis=1)[:, :-1]
+        row, k = ((w > 0.0) & (left > _TOL)).nonzero()
+        take = np.minimum(w[row, k], left[row, k])
+        s, d, via = src[row], order[row, k], relay[row]
+        self.queue[s, d] = queue[row, d] - take
+        self.relay_total[via, d] += take
+        self.pair_used_relay[s, d] = True
+        chunks = self.relay_chunks
+        for key, v, t in zip(zip(via.tolist(), d.tolist()), s.tolist(), take.tolist()):
+            chunks.setdefault(key, deque()).append([v, t])
 
     def _complete(self, t_end):
-        ready = np.argwhere(self.delivered + _TOL >= self.next_target)
-        for src, dst in ready:
-            src, dst = int(src), int(dst)
-            dq = self.pair_flows[(src, dst)]
-            got = self.delivered[src, dst] + _TOL
-            while dq and got >= dq[0][1]:
-                fid, _ = dq.popleft()
-                hops = 2 if self.pair_used_relay[src, dst] else 1
-                self.sim.record(fid, t_end, "rotor", hops)
-            self.next_target[src, dst] = dq[0][1] if dq else np.inf
+        """Record the flows whose pair has delivered their target, taking
+        each ready pair's head once per round."""
+        delivered = self._flat[2]
+        used = self.pair_used_relay.reshape(-1)
+        ready = np.flatnonzero(delivered + _TOL >= self.next_target)
+        while ready.size:
+            f = self.head[ready]
+            for fid, relayed in zip(self.log_fid[f].tolist(), used[ready].tolist()):
+                self.sim.record(fid, t_end, "rotor", 2 if relayed else 1)
+            nxt = self.log_next[f]
+            self.head[ready] = nxt
+            self.next_target[ready] = np.where(nxt >= 0, self.log_target[nxt], np.inf)
+            ready = ready[delivered[ready] + _TOL >= self.next_target[ready]]
 
 
 class _CachePlane:

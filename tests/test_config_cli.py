@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from click.testing import CliRunner
 
@@ -199,6 +201,32 @@ class TestCommands:
         assert (dct_ana, rel_err) == ("nan", "nan")
         assert (d / "trace_x0.3_seed0.csv").exists()
         assert (d / "flows_x0.3_seed0.csv").exists()
+
+    @pytest.mark.parametrize("k_s, k_r, k_c, lacking, flows", [
+        (0, 4, 4, "k_s", "small"),     # small flows and no static switches
+        (2, 1, 0, "k_r", "medium")])   # one dynamic switch, which the split gives the cache
+    def test_analyze_a_mix_without_a_closed_form_writes_nan(
+            self, runner, tmp_path, k_s, k_r, k_c, lacking, flows):
+        p = tmp_path / "cfg.txt"
+        p.write_text(f"network.n = 16\nnetwork.k_s = {k_s}\nnetwork.k_r = {k_r}\n"
+                     f"network.k_c = {k_c}\n")
+        out = runner.invoke(main, ["analyze", "--config", str(p),
+                                   "--sweep", "load_x=0:0.5:0.25", "--out", str(tmp_path)])
+        assert out.exit_code == 0, out.output
+        for x in ("0.25", "0.5"):
+            assert (f"load_x={x}: {lacking} switches required to serve {flows} flows"
+                    in out.stderr)
+        assert "load_x=0.0:" not in out.stderr   # no load, nothing to serve
+        header, *rows = (tmp_path / "analyze.csv").read_text().splitlines()
+        header = header.split(",")
+        assert rows[0].split(",")[header.index("dct_hybrid_s")] == "0.0"
+        assert len(rows) == 3
+        for row in rows[1:]:
+            cells = dict(zip(header, row.split(",")))
+            assert cells.pop("dct_hybrid_s") == "nan"
+            assert all(math.isfinite(float(v)) for k, v in cells.items()
+                       if k not in ("large_threshold_bits", "z"))
+            assert float(cells["dct_expander_s"]) > 0 and float(cells["dct_rotor_s"]) > 0
 
     @pytest.mark.parametrize("command", [
         ["analyze", "--sweep", "load_x=0.5:0.5:0.1"],

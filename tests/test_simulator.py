@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ocsnet import simulator
 from ocsnet.analytics import dct_all_to_all_rotor, dct_rotor
@@ -44,6 +45,14 @@ class TestRun:
         flows = generate(TrafficSpec("uniform", 0.3, dist, window_s=0.02, seed=5), cfg)
         res = simulator.run_batch(cfg, flows, seed=5)
         assert res.dct_s >= max(f.size_bits for f in flows) / (cfg.k * cfg.r)
+
+    def test_records_are_immutable_values(self):
+        rec = simulator.FlowRecord(3, 0.0, 1.5, "rotor", 2)
+        assert rec._fields == ("flow_id", "arrival_s", "completion_s", "plane", "hops")
+        assert rec == simulator.FlowRecord(3, 0.0, 1.5, "rotor", 2)
+        assert rec != simulator.FlowRecord(3, 0.0, 1.5, "rotor", 1)
+        with pytest.raises(AttributeError):
+            rec.hops = 1
 
     def test_horizon_marks_incomplete(self):
         cfg = cfg_of(8, 0, 0, 1)
@@ -283,3 +292,47 @@ class TestExpanderPlane:
         res = simulator.run(cfg, flows, seed=1)
         assert {rec.plane for rec in res.records} == {"expander"}
         assert res.completed
+
+
+class TestProperties:
+    """Small random instances of every plane mix, batch and streamed."""
+
+    @staticmethod
+    def _draw(data):
+        n = data.draw(st.integers(4, 8), label="n")
+        k_s = data.draw(st.sampled_from([0, 2]), label="k_s")
+        # small and medium flows need the expander or the rotors
+        k_r = data.draw(st.integers(0 if k_s else 1, 2), label="k_r")
+        k_c = data.draw(st.integers(1, 3), label="k_c")
+        policy = data.draw(st.sampled_from(["queue", "spill"]), label="cache_policy")
+        cfg = cfg_of(n, k_s, k_r, k_c, R_c=1e-3, large_threshold_bits=5e6)
+        pairs = [(s, d) for s in range(n) for d in range(n) if s != d]
+        # small, medium (from one slot-full, 1 Mbit) and large flows
+        sizes = st.sampled_from([1e5, 3e5, 1e6, 2.5e6, 5e6, 1e7, 3e7])
+        times = st.sampled_from([0.0, 0.0, 2e-4, 1e-3, 2e-3, 2.5e-3])
+        drawn = data.draw(st.lists(st.tuples(st.sampled_from(pairs), sizes, times),
+                                   min_size=1, max_size=30), label="flows")
+        flows = [make_flow(s, d, size, t, cfg) for (s, d), size, t in drawn]
+        graph = build_expander(n, k_s, seed=0) if k_s else None
+        batch = data.draw(st.booleans(), label="batch")
+        run = simulator.run_batch if batch else simulator.run
+        return cfg, flows, run(cfg, flows, expander=graph, cache_policy=policy)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_no_cache_flow_finishes_before_reconfiguring_and_serializing(self, data):
+        cfg, flows, res = self._draw(data)
+        assert res.completed
+        for rec in res.records:
+            if rec.plane == "cache":
+                size = flows[rec.flow_id].size_bits
+                assert rec.completion_s >= rec.arrival_s + cfg.R_c + size / cfg.r
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_delivered_equals_injected(self, data):
+        cfg, flows, res = self._draw(data)
+        assert res.completed
+        assert res.injected_bits == sum(f.size_bits for f in flows)
+        assert res.delivered_bits == pytest.approx(res.injected_bits, rel=1e-9, abs=0)
+        assert sum(res.plane_bits.values()) == pytest.approx(res.delivered_bits, rel=1e-9)
