@@ -12,6 +12,9 @@ from dataclasses import dataclass
 from .distributions import FlowSizeDistribution
 from .model import FlowClass, NetworkConfig
 
+_BISECT_TOL = 1e-8      # the hybrid L* bisection stops at this bracket width
+_BISECT_MAX_ITER = 60   # or fails after this many halvings
+
 
 @dataclass(frozen=True)
 class AnalyticsReport:
@@ -244,7 +247,7 @@ def spill_fraction(L, z) -> float:
 
 
 def throughput_star(system, x, phi, distribution=None, config=None, epl=None,
-                    split=None, tol=1e-8, max_iter=60) -> float:
+                    split=None) -> float:
     """Largest sustainable per-ToR throughput L* in (0, 1] at active fraction x.
 
     Expander and rotor have closed forms; the hybrid L* is found by
@@ -293,13 +296,13 @@ def throughput_star(system, x, phi, distribution=None, config=None, epl=None,
     if dct(1.0) <= 1.0:
         return 1.0
     lo, hi = 0.0, 1.0
-    for _ in range(max_iter):
+    for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if dct(mid) <= 1.0:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= tol:
+        if hi - lo <= _BISECT_TOL:
             break
     else:
         raise ValueError(

@@ -38,8 +38,8 @@ def parse_sweep(text):
             f"expected var=start:stop:step, got {text!r}") from None
     if var not in SWEEP_VARS:
         raise click.BadParameter(f"sweep variable must be one of {SWEEP_VARS}")
-    if step <= 0 or stop < start:
-        raise click.BadParameter("need step > 0 and stop >= start")
+    if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
+        raise click.BadParameter("need finite values, step > 0 and stop >= start")
     grid = np.arange(start, stop + step / 2, step)
     return var, [round(float(v), 12) for v in grid]
 
@@ -135,6 +135,8 @@ def simulate(config_path, profile, sweep, seeds, out_dir, horizon_s):
     var, grid = parse_sweep(sweep)
     if var != "load_x":
         raise click.ClickException("simulate sweeps the load only (load_x)")
+    if horizon_s is not None and not horizon_s >= 0:
+        raise click.BadParameter(f"must be >= 0, got {horizon_s}", param_hint="'--horizon'")
     epl_graph = topology.build_expander(config.n, config.k_s, 0) if config.k_s else None
     os.makedirs(out_dir, exist_ok=True)
 

@@ -443,18 +443,21 @@ class _ExpanderPlane:
         self.flows = {}              # fid -> [residual, rate, path_edges]
         self.on_edge = {}            # edge -> fids of the active flows on it
         self.last_t = 0.0
-        self.version = 0
+        self.version = 0             # the pending event carries -version (fill) or version
+        self._added = []             # links of the flows added since the last fill
         self.residual = 0.0
 
     def add(self, fid, src, dst, size, now):
-        self._advance(now)
         path = self._sample_path(src, dst)
         edges = list(zip(path[:-1], path[1:]))
         self.flows[fid] = [float(size), 0.0, edges]
         for e in edges:
             self.on_edge.setdefault(e, set()).add(fid)
         self.residual += size
-        self._recompute(now, edges)
+        if not self._added:   # one fill event per instant, after its arrivals
+            self.version += 1
+            self.sim.schedule(now, "expander", -self.version)
+        self._added += edges
         return True
 
     def _hops_to(self, dst):
@@ -507,7 +510,23 @@ class _ExpanderPlane:
             path.append(v)
         return path
 
-    def _advance(self, now):
+    def on_event(self, version, now):
+        """Serve the fill event ``-version`` that ``add`` schedules, or the
+        completion event ``version``; older events are skipped. A fill
+        finishes no flow, so a completion that ties an arrival happens at
+        the time the fill schedules.
+
+        Both re-fill only the flows linked to the links of the flows added
+        or finished, once for all of an instant's adds. Every other flow
+        keeps the rate a filling of every active flow would give it: the
+        components of the flow-link graph those links do not touch carry
+        the same flows on the same links as at their last filling, and the
+        heap pops a component's keys in the same relative order whatever
+        other keys it holds, since two components share no edge and so no
+        key. Filling them again would give back their rates bit for bit.
+        """
+        if abs(version) != self.version:
+            return
         dt = now - self.last_t
         if dt > 0:
             for state in self.flows.values():
@@ -517,51 +536,25 @@ class _ExpanderPlane:
                 self.sim.delivered_bits += sent
                 self.sim.plane_bits["expander"] += sent
         self.last_t = now
-
-    def _recompute(self, now, edges):
-        """Re-fill the rates of the flows linked to ``edges``, the links of
-        the flows just added or finished, directly or through other flows,
-        and schedule the next completion.
-
-        Every other flow keeps its rate, which is the rate a filling of
-        every active flow would give it: the connected components of the
-        flow-link graph that ``edges`` does not touch carry the same flows
-        on the same links as at their last filling. A component's keys,
-        shares and subtractions involve only its own links, and the heap
-        pops them in the same relative order whatever other keys it holds,
-        because two components share no edge and so no key of one equals a
-        key of another. Filling them again would give back the rates they
-        already have, bit for bit, so only the components of ``edges`` are
-        filled.
-        """
-        self.version += 1
+        edges, self._added = self._added, []
+        if version > 0:
+            for fid in [fid for fid, st in self.flows.items() if st[0] <= _TOL]:
+                st = self.flows.pop(fid)
+                for e in st[2]:
+                    users = self.on_edge[e]
+                    users.discard(fid)
+                    if not users:
+                        del self.on_edge[e]
+                edges += st[2]
+                self.residual -= st[0]   # tiny float remainder
+                self.sim.delivered_bits += st[0]
+                self.sim.plane_bits["expander"] += st[0]
+                self.sim.record(fid, now, "expander", len(st[2]))
         if not self.flows:
             return
         _max_min_fill(self.flows, self.on_edge, self.capacity, edges)
-        horizon = min(
-            state[0] / state[1] for state in self.flows.values() if state[1] > 0
-        )
+        horizon = min(st[0] / st[1] for st in self.flows.values() if st[1] > 0)
         self.sim.schedule(now + max(horizon, 0.0), "expander", self.version)
-
-    def on_event(self, version, now):
-        if version != self.version:
-            return
-        self._advance(now)
-        done = [fid for fid, st in self.flows.items() if st[0] <= _TOL]
-        edges = []
-        for fid in done:
-            st = self.flows.pop(fid)
-            for e in st[2]:
-                users = self.on_edge[e]
-                users.discard(fid)
-                if not users:
-                    del self.on_edge[e]
-            edges += st[2]
-            self.residual -= st[0]   # tiny float remainder
-            self.sim.delivered_bits += st[0]
-            self.sim.plane_bits["expander"] += st[0]
-            self.sim.record(fid, now, "expander", len(st[2]))
-        self._recompute(now, edges)
 
 
 class Simulator:
@@ -571,6 +564,8 @@ class Simulator:
             raise ValueError("config thresholds unset; run model.validate first")
         if cache_policy not in ("queue", "spill"):
             raise ValueError(f"unknown cache policy {cache_policy!r}")
+        if horizon_s is not None and not horizon_s >= 0:   # also rejects nan
+            raise ValueError(f"horizon_s must be >= 0 seconds, got {horizon_s}")
         self.horizon_s = horizon_s
         self.audit = audit
         self.rng = np.random.default_rng(seed)

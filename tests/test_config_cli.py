@@ -1,5 +1,6 @@
 import math
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -80,6 +81,13 @@ class TestSweepParsing:
     def test_bad_shape(self):
         with pytest.raises(Exception, match="start:stop:step"):
             parse_sweep("load_x=0:1")
+
+    @pytest.mark.parametrize("text", [
+        "load_x=0.1:nan:0.1", "load_x=nan:0.5:0.1", "load_x=0.1:0.5:nan",
+        "load_x=0.1:inf:0.1", "load_x=-inf:0.5:0.1", "load_x=0.1:0.5:inf"])
+    def test_non_finite_values_rejected(self, text):
+        with pytest.raises(click.BadParameter, match="finite"):
+            parse_sweep(text)
 
 
 @pytest.fixture
@@ -239,6 +247,23 @@ class TestCommands:
         assert out.exit_code == 2
         assert "--seeds" in out.output
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", [
+        ["analyze", "--sweep", "load_x=0.1:nan:0.1"],
+        ["simulate", "--sweep", "load_x=0.1:inf:0.1"],
+        ["simulate", "--sweep", "load_x=0.2:0.2:0.1", "--horizon", "nan"],
+        ["simulate", "--sweep", "load_x=0.2:0.2:0.1", "--horizon", "-1"],
+    ])
+    def test_non_finite_sweep_or_bad_horizon_is_a_usage_error(
+            self, runner, tmp_path, command):
+        p = tmp_path / "cfg.txt"
+        p.write_text("network.n = 8\nnetwork.k_s = 0\nnetwork.k_r = 4\nnetwork.k_c = 0\n"
+                     "traffic.window_s = 0.005\n")
+        d = tmp_path / "out"
+        out = runner.invoke(main, command + ["--config", str(p), "--out", str(d)])
+        assert out.exit_code == 2, out.output
+        assert ("--horizon" if "--horizon" in command else "finite") in out.output
+        assert not d.exists()
 
     def test_simulate_rejects_non_load_sweep(self, runner):
         out = runner.invoke(main, ["simulate", "--sweep", "phi=0:1:0.5"])

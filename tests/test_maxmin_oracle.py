@@ -10,7 +10,9 @@ The plane re-fills only the flows linked to an added or finished flow
 through shared links, which the filler finds by walking the plane's own
 edge->flow incidence from that flow's links; after every such
 re-filling, each active flow's rate must equal the rate the oracle's
-filling of every active flow gives.
+filling of every active flow gives. An added flow gets its rate when the
+fill event its add scheduled is served, which the tests below do before
+reading rates, as the event loop would.
 """
 import copy
 
@@ -214,6 +216,13 @@ def _driven_plane(n, k_s, graph_seed, rng_seed):
     return plane
 
 
+def _fill(plane):
+    """Serve the fill event the plane's adds scheduled, as the event loop does."""
+    t, kind, payload = plane.sim.events.pop()
+    assert (kind, payload) == ("expander", -plane.version)
+    plane.on_event(payload, t)
+
+
 def _finish(plane, fids, now):
     """Complete ``fids`` through the plane's own completion event."""
     for fid in fids:
@@ -249,6 +258,7 @@ def test_local_refilling_matches_a_fresh_filling_of_every_flow(data):
         if kind == "add":
             now += dt
             plane.add(fid, *pair, size, now)
+            _fill(plane)
             fid += 1
         elif not plane.flows:
             continue
@@ -299,6 +309,7 @@ def _bridged_plane(monkeypatch):
     monkeypatch.setattr(simulator, "_max_min_fill", spied_fill)
     for fid, path in enumerate(_COMPONENTS):
         _add_on_path(plane, fid, path)
+    _fill(plane)
     return plane, filled
 
 
@@ -310,6 +321,7 @@ def test_bridging_flow_merges_two_components(monkeypatch):
     plane, filled = _bridged_plane(monkeypatch)
     assert _rates(plane) == {0: 1.5, 1: 1.5, 2: 2.5, 3: 2.5, 4: 7.0}
     _add_on_path(plane, 5, _BRIDGE)
+    _fill(plane)
     # the bridge takes 1.0 of (0, 1) and (2, 3), which leaves f2 2.0
     # and f3 the rest of (3, 4)
     assert _rates(plane) == {0: 1.0, 1: 1.0, 2: 2.0, 3: 3.0, 4: 7.0, 5: 1.0}
@@ -320,6 +332,7 @@ def test_bridging_flow_merges_two_components(monkeypatch):
 def test_removing_the_bridge_splits_them_again(monkeypatch):
     plane, filled = _bridged_plane(monkeypatch)
     _add_on_path(plane, 5, _BRIDGE)
+    _fill(plane)
     _finish(plane, [5], 0.0)
     assert _rates(plane) == {0: 1.5, 1: 1.5, 2: 2.5, 3: 2.5, 4: 7.0}
     assert filled[-1] == {0, 1, 2, 3}

@@ -60,6 +60,11 @@ class TestRun:
         res = simulator.run(cfg, [flow], horizon_s=0.1)
         assert not res.completed and res.records == ()
 
+    @pytest.mark.parametrize("horizon", [math.nan, -1.0])
+    def test_nan_or_negative_horizon_rejected(self, horizon):
+        with pytest.raises(ValueError, match="horizon_s"):
+            simulator.Simulator(cfg_of(8, 0, 4, 0), horizon_s=horizon)
+
     def test_conservation_and_full_delivery(self):
         cfg = cfg_of(16, 2, 8, 2)
         spec = TrafficSpec("uniform", 0.4, _mixed_dist(cfg), window_s=0.004, seed=3)
@@ -260,6 +265,35 @@ class TestExpanderPlane:
         flows = [make_flow(0, dst, 5e5, 0.0, cfg) for _ in range(2)]
         res = simulator.run(cfg, flows, expander=g)
         assert res.dct_s == pytest.approx(2 * 5e5 / cfg.r, abs=1e-9)
+
+    def test_arrivals_at_one_instant_share_one_filling(self, monkeypatch):
+        cfg = cfg_of(16, 3, 0, 0)
+        flows = [make_flow(s, (s + d) % 16, 1e5, t, cfg)
+                 for t in (1e-4, 2e-4) for s in range(16) for d in (1, 5)]
+        sim = simulator.Simulator(cfg, expander=build_expander(16, 3, seed=2))
+        fill, clocks = simulator._max_min_fill, []
+
+        def counted_fill(*args):
+            clocks.append(sim._clock)
+            return fill(*args)
+
+        monkeypatch.setattr(simulator, "_max_min_fill", counted_fill)
+        assert sim.run(flows).completed
+        assert clocks.count(1e-4) == clocks.count(2e-4) == 1
+
+    def test_arrival_tying_a_completion_leaves_it_to_the_filling(self):
+        # f0 is scheduled to finish at 100008 / r, where 1.46e-11 bits are
+        # left; the three arrivals at that instant cut its rate to r / 4,
+        # which moves its completion three ulps later
+        cfg = cfg_of(4, 1, 0, 0)
+        g = build_expander(4, 1, seed=0)
+        dst = g.matchings[0][0]
+        tie = 100008 / cfg.r
+        flows = [make_flow(0, dst, 100008, 0.0, cfg)] + [
+            make_flow(0, dst, 5e4, tie, cfg) for _ in range(3)]
+        res = simulator.run(cfg, flows, expander=g)
+        assert [rec.completion_s for rec in res.records] == [
+            1.0000800000000004e-05, 2.50008e-05, 2.50008e-05, 2.50008e-05]
 
     def test_bandwidth_tax_tracks_path_length(self):
         from ocsnet.topology import expected_path_length
