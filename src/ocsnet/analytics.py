@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from .distributions import FlowSizeDistribution
 from .model import FlowClass, NetworkConfig
 
-_BISECT_TOL = 1e-8      # the hybrid L* bisection stops at this bracket width
-_BISECT_MAX_ITER = 60   # or fails after this many halvings
+_BISECT_TOL = 1e-8  # the hybrid L* bisection stops at this bracket width
 
 
 @dataclass(frozen=True)
@@ -128,26 +127,22 @@ def optimal_split(distribution: FlowSizeDistribution, x, phi_m,
 
     The real-valued split equalizes the two component completion times;
     the integer rounding minimizes the larger of the two, ties broken
-    toward more rotor switches.
+    toward more rotor switches. A distribution without large (medium)
+    bytes gets every dynamic switch as a rotor (demand-aware) switch.
     """
     total = config.k - config.k_s
-    if total < 2:
-        raise ValueError(f"need at least 2 dynamic switches to split, have {total}")
     b_m = distribution.class_byte_fraction(FlowClass.MEDIUM, config)
     b_l = distribution.class_byte_fraction(FlowClass.LARGE, config)
-    if b_l <= 0:
-        return total, 0
-    if b_m <= 0:
-        return 0, total
+    if b_l <= 0 or b_m <= 0:
+        return (total, 0) if b_l <= 0 else (0, total)
+    if total < 2:
+        raise ValueError(f"need at least 2 dynamic switches to split, have {total}")
 
     base = max(x, 1e-12) * config.k * config.r  # the split ratio is x-independent
-    medium_bits = base * b_m
-    large_bits = base * b_l
-    recip = distribution.mean_reciprocal_large(config)
-    cache_term = large_bits * (config.R_c * recip + 1.0 / config.r)
-    rotor_term = (medium_bits / config.medium_threshold_bits) \
-        * (2.0 - phi_m) * (config.R_r + config.delta)
+    # each component's completion time on a single switch;
     # cache_term / k_c == rotor_term / k_r at the real-valued optimum
+    cache_term = dct_cache(base * b_l, 1, distribution, config)
+    rotor_term = rotor_component_dct(base * b_m, phi_m, 1, config)
     k_c_real = total * cache_term / (cache_term + rotor_term)
 
     candidates = {math.floor(k_c_real), math.ceil(k_c_real)}
@@ -177,14 +172,7 @@ def dct_hybrid_uniform(x, distribution: FlowSizeDistribution, phi_m,
     b_m = distribution.class_byte_fraction(FlowClass.MEDIUM, config)
     b_l = distribution.class_byte_fraction(FlowClass.LARGE, config)
 
-    if split is None:
-        if b_m > 0 and b_l > 0:
-            k_r, k_c = optimal_split(distribution, x, phi_m, config)
-        else:
-            total = config.k - config.k_s
-            k_r, k_c = (total, 0) if b_l <= 0 else (0, total)
-    else:
-        k_r, k_c = split
+    k_r, k_c = optimal_split(distribution, x, phi_m, config) if split is None else split
 
     parts = []
     if b_s > 0:
@@ -216,8 +204,6 @@ def hybrid_alpha(x, distribution: FlowSizeDistribution, k_c_star,
     """Slope coefficient of the hybrid bound: per-unit cache completion time."""
     large_bits = x * config.k * config.r \
         * distribution.class_byte_fraction(FlowClass.LARGE, config)
-    if large_bits == 0:
-        return 0.0
     return dct_cache(large_bits, k_c_star, distribution, config) / max(x, 1e-300)
 
 
@@ -233,8 +219,7 @@ def cache_capacity_z(k_c, distribution: FlowSizeDistribution,
         * distribution.class_byte_fraction(FlowClass.LARGE, config)
     if large_rate <= 0:
         raise ValueError("distribution has no mass in the large class")
-    recip = distribution.mean_reciprocal_large(config)
-    return k_c / (large_rate * (config.R_c * recip + 1.0 / config.r))
+    return k_c / dct_cache(large_rate, 1, distribution, config)
 
 
 def spill_fraction(L, z) -> float:
@@ -279,12 +264,7 @@ def throughput_star(system, x, phi, distribution=None, config=None, epl=None,
     b_l = distribution.class_byte_fraction(FlowClass.LARGE, config)
     u1_m = config.k * config.r * b_m
     u1_l = config.k * config.r * b_l
-    if b_l > 0 and k_c_star > 0:
-        z = cache_capacity_z(k_c_star, distribution, config)
-    elif b_l > 0:
-        z = 0.0     # no cache at all: every large byte spills
-    else:
-        z = math.inf
+    z = cache_capacity_z(k_c_star, distribution, config) if b_l > 0 else math.inf
 
     coeff = x * (2.0 - phi * x) * (config.R_r + config.delta) \
         / (config.medium_threshold_bits * k_r_star)
@@ -296,18 +276,12 @@ def throughput_star(system, x, phi, distribution=None, config=None, epl=None,
     if dct(1.0) <= 1.0:
         return 1.0
     lo, hi = 0.0, 1.0
-    for _ in range(_BISECT_MAX_ITER):
+    while hi - lo > _BISECT_TOL:
         mid = 0.5 * (lo + hi)
         if dct(mid) <= 1.0:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= _BISECT_TOL:
-            break
-    else:
-        raise ValueError(
-            f"hybrid throughput bisection did not converge; residual {dct(lo) - 1.0:.3e}"
-        )
     return lo
 
 
@@ -327,10 +301,10 @@ def report(x, phi, phi_m, distribution: FlowSizeDistribution,
     b_l = distribution.class_byte_fraction(FlowClass.LARGE, config)
     b_m = distribution.class_byte_fraction(FlowClass.MEDIUM, config)
     total = config.k - config.k_s
-    if b_m > 0 and b_l > 0 and total >= 2:
-        k_r_star, k_c_star = optimal_split(distribution, max(x, 1e-9), phi_m, config)
+    if b_m > 0 and b_l > 0 and total < 2:
+        k_r_star, k_c_star = 0, total   # too few switches to split: the cache takes them
     else:
-        k_r_star, k_c_star = (total, 0) if b_l <= 0 else (0, total)
+        k_r_star, k_c_star = optimal_split(distribution, max(x, 1e-9), phi_m, config)
 
     if x > 0:
         if missing_switches(distribution, config, (k_r_star, k_c_star)):
@@ -354,11 +328,7 @@ def report(x, phi, phi_m, distribution: FlowSizeDistribution,
         threshold = large_flow_threshold(phi, config)
     except ValueError:
         threshold = math.inf
-    if b_l > 0 and k_c_star > 0:
-        z = cache_capacity_z(k_c_star, distribution, config)
-    else:
-        z = math.inf if b_l <= 0 else 0.0
-    x_star = spill_fraction(1.0, z) if math.isfinite(z) else 0.0
+    z = cache_capacity_z(k_c_star, distribution, config) if b_l > 0 else math.inf
 
     return AnalyticsReport(
         x=x, phi=phi, phi_m=phi_m,
@@ -366,11 +336,11 @@ def report(x, phi, phi_m, distribution: FlowSizeDistribution,
         dct_rotor_s=dct_rotor(x, phi, config),
         dct_hybrid_s=dct_hyb,
         alpha=alpha,
-        beta=(2.0 - phi) * (config.R_r + config.delta) / config.delta,
+        beta=dct_rotor(1.0, phi, config),
         gamma=epl,
         k_r_star=k_r_star, k_c_star=k_c_star,
         large_threshold_bits=threshold,
-        z=z, x_star=x_star,
+        z=z, x_star=spill_fraction(1.0, z),
         L_star_expander=l_exp, L_star_rotor=l_rot, L_star_hybrid=l_hyb,
     )
 

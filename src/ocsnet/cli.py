@@ -40,8 +40,10 @@ def parse_sweep(text):
         raise click.BadParameter(f"sweep variable must be one of {SWEEP_VARS}")
     if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
         raise click.BadParameter("need finite values, step > 0 and stop >= start")
-    grid = np.arange(start, stop + step / 2, step)
-    return var, [round(float(v), 12) for v in grid]
+    grid = [round(float(v), 12) for v in np.arange(start, stop + step / 2, step)]
+    if var == "k_c" and not all(v.is_integer() for v in grid):
+        raise click.BadParameter(f"k_c takes whole switch counts, got {grid}")
+    return var, grid
 
 
 def _load(config_path, profile, **overrides):
@@ -98,23 +100,21 @@ def analyze(config_path, profile, sweep, seeds, out_dir):
     rows = []
     for value in grid:
         x, p, pm, cfg = base_x, phi, phi_m, config
-        if var == "load_x":
-            x = value
-        elif var == "phi":
-            p = pm = value
-        else:  # k_c
-            cfg = validate(dataclasses.replace(config, k_c=int(value)))
-        if cfg.k not in epl_of:
-            epl_of[cfg.k] = topology.mean_expected_path_length(cfg.n, cfg.k, range(seeds))
         try:
+            if var == "load_x":
+                x = value
+            elif var == "phi":
+                p = pm = value
+            else:  # k_c
+                cfg = validate(dataclasses.replace(config, k_c=int(value)))
+            if cfg.k not in epl_of:
+                epl_of[cfg.k] = topology.mean_expected_path_length(cfg.n, cfg.k, range(seeds))
             rep = analytics.report(x, p, pm, dist, cfg, epl_of[cfg.k], epl_static)
         except ValueError as exc:
             raise click.ClickException(f"grid point {var}={value}: {exc}")
         if math.isnan(rep.dct_hybrid_s):
-            for name, cls in analytics.missing_switches(dist, cfg,
-                                                        (rep.k_r_star, rep.k_c_star)):
-                click.echo(f"{var}={value}: {name} switches required to serve "
-                           f"{cls.value} flows, got 0; dct_hybrid_s is nan", err=True)
+            _warn_missing_switches(f"{var}={value}", dist, cfg,
+                                   (rep.k_r_star, rep.k_c_star), "dct_hybrid_s is")
         rows.append([_fmt(getattr(rep, col)) for col in ANALYZE_HEADER])
 
     path = _write_csv(out_dir, "analyze.csv", ANALYZE_HEADER, rows)
@@ -173,22 +173,30 @@ def _analytic_dct(config, dist, flows, x, epl_graph):
         return analytics.dct_rotor(x, traffic.skewness_phi(demand), config)
     if config.k_s > 0 and config.k_r == 0 and config.k_c == 0:
         return analytics.dct_expander(x, topology.expected_path_length(epl_graph))
+    # the simulator serves each class on the switches actually configured; a
+    # class whose switch type is absent goes to another plane, for which the
+    # closed form has no term
+    split = (config.k_r, config.k_c)
+    if _warn_missing_switches(f"x={x:g}", dist, config, split,
+                              "dct_analytic_s and rel_err are"):
+        return math.nan
     try:
         demand_m = traffic.demand_matrix(flows, config.n, class_filter="medium")
         phi_m = traffic.skewness_phi(demand_m)
     except ValueError:
         phi_m = 1.0
     epl = topology.expected_path_length(epl_graph) if epl_graph is not None else None
-    # the simulator serves each class on the switches actually configured
-    try:
-        return analytics.dct_hybrid_uniform(x, dist, phi_m, config, epl=epl,
-                                            split=(config.k_r, config.k_c))
-    except ValueError as exc:
-        # the simulator serves a class whose switch type is absent on another
-        # plane, but the closed form has no term for that
-        click.echo(f"x={x:g}: no closed form for this switch mix ({exc}); "
-                   "dct_analytic_s and rel_err are nan", err=True)
-        return math.nan
+    return analytics.dct_hybrid_uniform(x, dist, phi_m, config, epl=epl, split=split)
+
+
+def _warn_missing_switches(where, dist, config, split, nan_columns):
+    """Name on stderr each switch type that ``split`` lacks for a flow class
+    with bytes (``analytics.missing_switches``); true if there is one."""
+    missing = analytics.missing_switches(dist, config, split)
+    for name, cls in missing:
+        click.echo(f"{where}: {name} switches required to serve {cls.value} flows, "
+                   f"got 0; {nan_columns} nan", err=True)
+    return bool(missing)
 
 
 @main.command()

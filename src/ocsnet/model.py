@@ -57,6 +57,13 @@ def validate(config: NetworkConfig) -> NetworkConfig:
     c = config
     if c.n < 2:
         raise ValueError(f"n must be >= 2, got {c.n}")
+    finite = ("r", "delta", "R_r", "R_c", "medium_threshold_bits")
+    for name in finite + ("large_threshold_bits",):
+        value = getattr(c, name)
+        # an unset threshold is derived below; +inf leaves the large class empty
+        if value is not None and (math.isnan(value) or (name in finite and math.isinf(value))):
+            raise ValueError(f"{name} must be {'finite' if name in finite else 'a number'}, "
+                             f"got {value}")
     for name in ("k_s", "k_r", "k_c"):
         if getattr(c, name) < 0:
             raise ValueError(f"{name} must be >= 0, got {getattr(c, name)}")

@@ -37,8 +37,8 @@ class TrafficSpec:
             raise ValueError(f"load_x must lie in [0, 1], got {self.load_x}")
         if not 0.0 < self.per_tor_rate_L <= 1.0:
             raise ValueError(f"per_tor_rate_L must lie in (0, 1], got {self.per_tor_rate_L}")
-        if self.window_s <= 0:
-            raise ValueError("window_s must be positive")
+        if not 0.0 < self.window_s < math.inf:
+            raise ValueError(f"window_s must be positive and finite, got {self.window_s}")
 
 
 @dataclass(frozen=True)

@@ -155,6 +155,17 @@ class TestOptimalSplit:
         with pytest.raises(ValueError, match="dynamic"):
             optimal_split(default_mix(), 0.5, 1.0, cfg)
 
+    @pytest.mark.parametrize("size, want", [(4e6, (1, 0)), (8e9, (0, 1))])
+    def test_one_class_needs_no_second_dynamic_switch(self, size, want):
+        cfg = validate(NetworkConfig(n=8, k_s=2, k_r=1, k_c=0, r=10e9,
+                                     delta=100e-6, R_r=10e-6, R_c=15e-3))
+        dist = FlowSizeDistribution.point(size)
+        assert optimal_split(dist, 0.5, 1.0, cfg) == want
+        base = 0.5 * cfg.k * cfg.r
+        only = rotor_component_dct(base, 0.9, 1, cfg) if want[0] else \
+            dct_cache(base, 1, dist, cfg)
+        assert dct_hybrid_uniform(0.5, dist, 0.9, cfg) == only
+
 
 class TestHybridDct:
     def test_no_large_mass_reduces_to_rotor_component(self, cfg):

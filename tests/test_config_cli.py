@@ -54,6 +54,13 @@ class TestProfiles:
         assert cfg.medium_threshold_bits == pytest.approx(1e6)
         assert cfg.large_threshold_bits == pytest.approx(1.25e8, rel=1e-9)
 
+    def test_nan_link_rate_rejected(self):
+        mapping = config_io.load_config(overrides={
+            "link.rate_gbps": math.nan, "thresholds.medium_mbit": 1,
+            "thresholds.large_mb": 2})
+        with pytest.raises(ValueError, match="^r must be finite"):
+            config_io.network_config(mapping)
+
     def test_table1_profile_slot_capacity(self):
         cfg = config_io.network_config(config_io.load_config(profile="paper-table1"))
         assert cfg.r == 40e9
@@ -89,6 +96,15 @@ class TestSweepParsing:
         with pytest.raises(click.BadParameter, match="finite"):
             parse_sweep(text)
 
+    def test_whole_k_c_grid(self):
+        assert parse_sweep("k_c=2:30:4") == ("k_c", [2.0, 6.0, 10.0, 14.0, 18.0, 22.0,
+                                                     26.0, 30.0])
+
+    @pytest.mark.parametrize("text", ["k_c=8.5:9.5:1", "k_c=0:2:0.5"])
+    def test_fractional_k_c_rejected(self, text):
+        with pytest.raises(click.BadParameter, match="whole"):
+            parse_sweep(text)
+
 
 @pytest.fixture
 def runner():
@@ -115,6 +131,17 @@ class TestCommands:
         out = runner.invoke(main, ["split", "--config", str(p)])
         assert out.exit_code == 0
         assert "k_r_star=32 k_c_star=0" in out.output
+
+    @pytest.mark.parametrize("size_mbit, want", [(4, "k_r_star=1 k_c_star=0"),
+                                                 (1000, "k_r_star=0 k_c_star=1")])
+    def test_split_one_class_on_one_dynamic_switch(self, runner, tmp_path, size_mbit, want):
+        p = tmp_path / "cfg.txt"
+        p.write_text("network.n = 8\nnetwork.k_s = 2\nnetwork.k_r = 1\nnetwork.k_c = 0\n"
+                     'traffic.distribution.kind = "point"\n'
+                     f"traffic.distribution.size_mbit = {size_mbit}\n")
+        out = runner.invoke(main, ["split", "--config", str(p)])
+        assert out.exit_code == 0, out.output
+        assert f"dynamic=1 -> {want}" in out.output
 
     def test_analyze_deterministic_and_zero_row(self, runner, tmp_path):
         args = ["analyze", "--sweep", "load_x=0:0.4:0.2", "--seeds", "1"]
@@ -263,6 +290,36 @@ class TestCommands:
         out = runner.invoke(main, command + ["--config", str(p), "--out", str(d)])
         assert out.exit_code == 2, out.output
         assert ("--horizon" if "--horizon" in command else "finite") in out.output
+        assert not d.exists()
+
+    def test_analyze_fractional_k_c_sweep_is_a_usage_error(self, runner, tmp_path):
+        d = tmp_path / "out"
+        out = runner.invoke(main, ["analyze", "--sweep", "k_c=8.5:9.5:1", "--seeds", "1",
+                                   "--out", str(d)])
+        assert out.exit_code == 2, out.output
+        assert "k_c takes whole switch counts" in out.output
+        assert not d.exists()
+
+    def test_analyze_negative_k_c_is_a_grid_point_error(self, runner, tmp_path):
+        d = tmp_path / "out"
+        out = runner.invoke(main, ["analyze", "--sweep", "k_c=-3:0:1", "--seeds", "1",
+                                   "--out", str(d)])
+        assert out.exit_code == 1, out.output
+        assert "Error: grid point k_c=-3.0: k_c must be >= 0" in out.output
+        assert not d.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["analyze", "--sweep", "load_x=0.5:0.5:0.1", "--seeds", "1"],
+        ["simulate", "--sweep", "load_x=0.2:0.2:0.1"]])
+    def test_nan_link_rate_stops_before_any_output(self, runner, tmp_path, command):
+        p = tmp_path / "cfg.txt"
+        p.write_text("network.n = 8\nnetwork.k_s = 0\nnetwork.k_r = 4\nnetwork.k_c = 0\n"
+                     "link.rate_gbps = nan\nthresholds.medium_mbit = 1\n"
+                     "thresholds.large_mb = 2\ntraffic.window_s = 0.005\n")
+        d = tmp_path / "out"
+        out = runner.invoke(main, command + ["--config", str(p), "--out", str(d)])
+        assert out.exit_code == 1
+        assert "r must be finite, got nan" in out.output + str(out.exception)
         assert not d.exists()
 
     def test_simulate_rejects_non_load_sweep(self, runner):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -61,6 +63,20 @@ class TestValidate:
     def test_idempotent(self):
         cfg = validate(base_config())
         assert validate(cfg) == cfg
+
+    @pytest.mark.parametrize("field", ["r", "delta", "R_r", "R_c", "medium_threshold_bits"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            validate(base_config(**{field: value}))
+
+    def test_nan_large_threshold_rejected(self):
+        with pytest.raises(ValueError, match="^large_threshold_bits must be a number"):
+            validate(base_config(large_threshold_bits=math.nan))
+
+    def test_infinite_large_threshold_allowed(self):
+        assert validate(base_config(large_threshold_bits=math.inf)).large_threshold_bits \
+            == math.inf
 
 
 class TestClassOf:

@@ -107,6 +107,11 @@ class TestGenerate:
         with pytest.raises(ValueError):
             TrafficSpec("uniform", 1.5, default_mix())
 
+    @pytest.mark.parametrize("window_s", [0.0, -1.0, math.nan, math.inf])
+    def test_window_must_be_positive_and_finite(self, window_s):
+        with pytest.raises(ValueError, match="window_s"):
+            TrafficSpec("uniform", 0.5, default_mix(), window_s=window_s)
+
 
 class TestClassRates:
     def test_all_small_distribution(self, cfg):
