@@ -130,6 +130,8 @@ def optimal_split(distribution: FlowSizeDistribution, x, phi_m,
     toward more rotor switches. A distribution without large (medium)
     bytes gets every dynamic switch as a rotor (demand-aware) switch.
     """
+    _check_unit("x", x)
+    _check_unit("phi_m", phi_m)
     total = config.k - config.k_s
     b_m = distribution.class_byte_fraction(FlowClass.MEDIUM, config)
     b_l = distribution.class_byte_fraction(FlowClass.LARGE, config)

@@ -7,6 +7,7 @@ deterministic CSV with fixed headers.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import math
@@ -16,7 +17,7 @@ import click
 import numpy as np
 
 from . import analytics, config_io, simulator, topology, traffic
-from .model import validate
+from .model import FlowClass, validate
 
 ANALYZE_HEADER = [
     "x", "phi", "phi_m", "dct_expander_s", "dct_rotor_s", "dct_hybrid_s",
@@ -46,10 +47,20 @@ def parse_sweep(text):
     return var, grid
 
 
-def _load(config_path, profile, **overrides):
-    mapping = config_io.load_config(config_path, profile=profile)
-    mapping.update({k: v for k, v in overrides.items() if v is not None})
-    return mapping
+@contextlib.contextmanager
+def _errors_as_one_line():
+    """A ValueError inside becomes one ``Error:`` line and exit status 1."""
+    try:
+        yield
+    except ValueError as exc:
+        raise click.ClickException(str(exc)) from None
+
+
+def _load(config_path, profile):
+    """The merged config mapping, its validated network and its traffic spec."""
+    with _errors_as_one_line():
+        mapping = config_io.load_config(config_path, profile=profile)
+        return mapping, config_io.network_config(mapping), config_io.traffic_spec(mapping)
 
 
 def _fmt(v):
@@ -86,20 +97,19 @@ def main():
 @click.option("--out", "out_dir", type=click.Path(), default=".", show_default=True)
 def analyze(config_path, profile, sweep, seeds, out_dir):
     """Evaluate the closed forms over a parameter sweep; writes analyze.csv."""
-    mapping = _load(config_path, profile)
-    config = config_io.network_config(mapping)
-    dist = config_io.distribution(mapping)
+    mapping, config, spec = _load(config_path, profile)
+    dist = spec.distribution
     var, grid = parse_sweep(sweep)
     epl_of = {}  # degree k -> its expanders' mean path length; k moves along k_c
     epl_static = (topology.mean_expected_path_length(config.n, config.k_s, range(seeds))
                   if config.k_s else None)
-    phi = float(mapping.get("traffic.phi", 1.0))
-    phi_m = float(mapping.get("traffic.phi_m", phi))
-    base_x = float(mapping.get("traffic.load_x", 0.5))
+    with _errors_as_one_line():
+        phi = float(mapping.get("traffic.phi", 1.0))
+        phi_m = float(mapping.get("traffic.phi_m", phi))
 
     rows = []
     for value in grid:
-        x, p, pm, cfg = base_x, phi, phi_m, config
+        x, p, pm, cfg = spec.load_x, phi, phi_m, config
         try:
             if var == "load_x":
                 x = value
@@ -130,17 +140,20 @@ def analyze(config_path, profile, sweep, seeds, out_dir):
               help="Abort marker time for non-draining runs, in seconds.")
 def simulate(config_path, profile, sweep, seeds, out_dir, horizon_s):
     """Generate traffic, simulate each grid point x seed, compare to the model."""
-    mapping = _load(config_path, profile)
-    config = config_io.network_config(mapping)
+    _, config, base = _load(config_path, profile)
     var, grid = parse_sweep(sweep)
     if var != "load_x":
         raise click.ClickException("simulate sweeps the load only (load_x)")
     if horizon_s is not None and not horizon_s >= 0:
         raise click.BadParameter(f"must be >= 0, got {horizon_s}", param_hint="'--horizon'")
+    if config.k_s == config.k_r == 0:
+        for cls in (FlowClass.SMALL, FlowClass.MEDIUM):
+            if base.distribution.class_byte_fraction(cls, config) > 0:
+                raise click.ClickException(
+                    f"no plane available for {cls.value} flows (k_s = k_r = 0)")
     epl_graph = topology.build_expander(config.n, config.k_s, 0) if config.k_s else None
     os.makedirs(out_dir, exist_ok=True)
 
-    base = config_io.traffic_spec(mapping)
     rows = []
     for x in grid:
         for seed in range(base.seed, base.seed + seeds):
@@ -201,37 +214,37 @@ def _warn_missing_switches(where, dist, config, split, nan_columns):
 
 @main.command()
 @config_options
-@click.option("-x", "--load-x", default=0.5, show_default=True)
-@click.option("--phi-m", default=1.0, show_default=True)
+@click.option("-x", "--load-x", type=click.FloatRange(0, 1), default=0.5, show_default=True)
+@click.option("--phi-m", type=click.FloatRange(0, 1), default=1.0, show_default=True)
 def split(config_path, profile, load_x, phi_m):
     """Optimal rotor/demand-aware division of the dynamic switches."""
-    mapping = _load(config_path, profile)
-    config = config_io.network_config(mapping)
-    dist = config_io.distribution(mapping)
-    k_r, k_c = analytics.optimal_split(dist, load_x, phi_m, config)
+    _, config, spec = _load(config_path, profile)
+    with _errors_as_one_line():
+        k_r, k_c = analytics.optimal_split(spec.distribution, load_x, phi_m, config)
     click.echo(f"x={load_x} phi_m={phi_m} dynamic={config.k - config.k_s} "
                f"-> k_r_star={k_r} k_c_star={k_c}")
 
 
 @main.command()
 @config_options
-@click.option("--phi", default=0.0, show_default=True)
+@click.option("--phi", type=click.FloatRange(0, 1), default=0.0, show_default=True)
 def threshold(config_path, profile, phi):
     """Large-flow size threshold at the given skewness."""
-    mapping = _load(config_path, profile)
-    config = config_io.network_config(mapping)
-    bits = analytics.large_flow_threshold(phi, config)
+    _, config, _ = _load(config_path, profile)
+    with _errors_as_one_line():
+        bits = analytics.large_flow_threshold(phi, config)
     click.echo(f"phi={phi} medium_bits={config.medium_threshold_bits:g} "
                f"-> large_threshold={bits:g} bits = {bits / 8e6:g} MB")
 
 
 @main.command()
-@click.option("-n", "--tors", "n", default=256, show_default=True)
-@click.option("-k", "--degree", default=32, show_default=True)
+@click.option("-n", "--tors", "n", type=click.IntRange(min=2), default=256, show_default=True)
+@click.option("-k", "--degree", type=click.IntRange(min=1), default=32, show_default=True)
 @click.option("--seeds", type=click.IntRange(min=1), default=10, show_default=True)
 def epl(n, degree, seeds):
     """Mean shortest-path length of random regular expanders."""
-    value = topology.mean_expected_path_length(n, degree, range(seeds))
+    with _errors_as_one_line():  # a disconnected sample
+        value = topology.mean_expected_path_length(n, degree, range(seeds))
     click.echo(f"n={n} degree={degree} seeds={seeds} -> epl={value:.4f}")
 
 

@@ -8,8 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 
 @dataclass(frozen=True)
@@ -47,9 +45,29 @@ class ExpanderGraph:
         return self.multiplicity > 0
 
     def distances(self) -> np.ndarray:
-        """All-pairs unweighted shortest-path hop counts (directed)."""
-        graph = csr_matrix(self.adjacency())
-        return shortest_path(graph, method="D", unweighted=True, directed=True)
+        """All-pairs unweighted shortest-path hop counts (directed), inf
+        where there is no path.
+
+        One breadth-first search from every source at once: ``frontier[v, s]``
+        marks node v as first reached from source s in the last step. Each
+        matching sends v to ``perm[v]``, so row v ORs into row ``perm[v]``;
+        parallel edges merge under OR.
+        """
+        dist = np.full((self.n, self.n), np.inf)  # [node, source]
+        np.fill_diagonal(dist, 0.0)
+        frontier = np.eye(self.n, dtype=bool)
+        seen = frontier.copy()
+        perms = [np.asarray(perm) for perm in self.matchings]
+        hops = 0
+        while frontier.any():
+            hops += 1
+            nxt = np.zeros_like(frontier)
+            for perm in perms:
+                nxt[perm] |= frontier
+            frontier = nxt & ~seen
+            seen |= frontier
+            dist[frontier] = hops
+        return dist.T.copy()
 
 
 def _random_derangement(n, rng):

@@ -155,6 +155,14 @@ class TestOptimalSplit:
         with pytest.raises(ValueError, match="dynamic"):
             optimal_split(default_mix(), 0.5, 1.0, cfg)
 
+    @pytest.mark.parametrize("x, phi_m, name", [
+        (-0.1, 1.0, "x"), (1.5, 1.0, "x"), (0.5, 3.0, "phi_m"), (0.5, -1.0, "phi_m")])
+    @pytest.mark.parametrize("size", [4e6, 8e9, None])   # one-class splits too
+    def test_out_of_range_inputs_rejected(self, cfg, x, phi_m, name, size):
+        dist = default_mix() if size is None else FlowSizeDistribution.point(size)
+        with pytest.raises(ValueError, match=f"{name} must lie in"):
+            optimal_split(dist, x, phi_m, cfg)
+
     @pytest.mark.parametrize("size, want", [(4e6, (1, 0)), (8e9, (0, 1))])
     def test_one_class_needs_no_second_dynamic_switch(self, size, want):
         cfg = validate(NetworkConfig(n=8, k_s=2, k_r=1, k_c=0, r=10e9,

@@ -322,6 +322,104 @@ class TestCommands:
         assert "r must be finite, got nan" in out.output + str(out.exception)
         assert not d.exists()
 
+    @pytest.mark.parametrize("setting, message", [
+        ("link.rate_gbps = nan\nthresholds.medium_mbit = 1\nthresholds.large_mb = 2\n",
+         "r must be finite, got nan"),
+        ("network.n = 1\n", "n must be >= 2, got 1"),
+        ("traffic.window_s = nan\n", "window_s must be positive and finite"),
+        ("network.n 8\n", "line 1: expected 'key = value'"),
+    ])
+    @pytest.mark.parametrize("command", [
+        ["analyze", "--sweep", "load_x=0.5:0.5:0.1", "--seeds", "1"],
+        ["simulate", "--sweep", "load_x=0.2:0.2:0.1"],
+        ["split"], ["threshold"]])
+    def test_invalid_config_is_one_error_line(self, runner, tmp_path, command,
+                                              setting, message):
+        p = tmp_path / "cfg.txt"
+        p.write_text(setting)
+        d = tmp_path / "out"
+        out_args = ["--out", str(d)] if command[0] in ("analyze", "simulate") else []
+        out = runner.invoke(main, command + ["--config", str(p)] + out_args)
+        assert out.exit_code == 1
+        assert out.output.startswith(f"Error: {message}") and out.output.count("\n") == 1
+        assert isinstance(out.exception, SystemExit)   # not an escaped ValueError
+        assert not d.exists()
+
+    def test_analyze_non_numeric_phi_is_one_error_line(self, runner, tmp_path):
+        p = tmp_path / "cfg.txt"
+        p.write_text("traffic.phi = abc\n")
+        d = tmp_path / "out"
+        out = runner.invoke(main, ["analyze", "--config", str(p), "--seeds", "1",
+                                   "--out", str(d)])
+        assert out.exit_code == 1
+        assert out.output == "Error: could not convert string to float: 'abc'\n"
+        assert not d.exists()
+
+    @pytest.mark.parametrize("command, option", [
+        (["threshold", "--phi", "3"], "--phi"),
+        (["threshold", "--phi", "-0.5"], "--phi"),
+        (["split", "--phi-m", "3"], "--phi-m"),
+        (["split", "-x", "-1"], "--load-x"),
+        (["split", "-x", "1.5"], "--load-x"),
+        (["epl", "-k", "0"], "--degree"),
+        (["epl", "-n", "1"], "--tors"),
+    ])
+    def test_out_of_range_option_is_a_usage_error(self, runner, command, option):
+        out = runner.invoke(main, command)
+        assert out.exit_code == 2, out.output
+        assert "Invalid value for" in out.output and option in out.output
+
+    def test_epl_disconnected_sample_is_one_error_line(self, runner):
+        # a single derangement on 8 nodes is rarely one 8-cycle
+        out = runner.invoke(main, ["epl", "-n", "8", "-k", "1", "--seeds", "3"])
+        assert out.exit_code == 1
+        assert out.output.startswith("Error: graph is disconnected: no path from")
+        assert out.output.count("\n") == 1
+
+    def test_threshold_without_a_finite_value_is_one_error_line(self, runner, tmp_path):
+        # a 2 Mbit slot beats the rotor's 1.1 Mbit period at phi = 1, not at phi = 0
+        p = tmp_path / "cfg.txt"
+        p.write_text("thresholds.medium_mbit = 2\n")
+        out = runner.invoke(main, ["threshold", "--config", str(p), "--phi", "1"])
+        assert out.exit_code == 1
+        assert out.output.startswith("Error: rotor transmission is always faster")
+
+    def test_split_with_too_few_dynamic_switches_is_one_error_line(self, runner, tmp_path):
+        p = tmp_path / "cfg.txt"
+        p.write_text("network.n = 8\nnetwork.k_s = 2\nnetwork.k_r = 1\nnetwork.k_c = 0\n")
+        out = runner.invoke(main, ["split", "--config", str(p)])
+        assert out.exit_code == 1
+        assert out.output == "Error: need at least 2 dynamic switches to split, have 1\n"
+
+    @pytest.mark.parametrize("distribution, flows", [
+        ("", "small"),                  # the default mix
+        ('traffic.distribution.kind = "point"\ntraffic.distribution.size_mbit = 4\n',
+         "medium")])
+    def test_simulate_without_a_plane_for_a_class_writes_nothing(
+            self, runner, tmp_path, distribution, flows):
+        p = tmp_path / "cfg.txt"
+        p.write_text("network.n = 16\nnetwork.k_s = 0\nnetwork.k_r = 0\nnetwork.k_c = 4\n"
+                     "traffic.window_s = 0.004\n" + distribution)
+        d = tmp_path / "out"
+        d.mkdir()
+        out = runner.invoke(main, ["simulate", "--config", str(p),
+                                   "--sweep", "load_x=0.3:0.3:0.1", "--out", str(d)])
+        assert out.exit_code == 1
+        assert out.output == f"Error: no plane available for {flows} flows (k_s = k_r = 0)\n"
+        assert list(d.iterdir()) == []
+
+    def test_simulate_large_flows_alone_need_no_rotor_or_static_plane(self, runner, tmp_path):
+        p = tmp_path / "cfg.txt"
+        p.write_text("network.n = 8\nnetwork.k_s = 0\nnetwork.k_r = 0\nnetwork.k_c = 4\n"
+                     "traffic.window_s = 0.05\n"
+                     'traffic.distribution.kind = "point"\n'
+                     "traffic.distribution.size_mbit = 1000\n")
+        d = tmp_path / "out"
+        out = runner.invoke(main, ["simulate", "--config", str(p),
+                                   "--sweep", "load_x=0.3:0.3:0.1", "--out", str(d)])
+        assert out.exit_code == 0, out.output
+        assert (d / "simulate.csv").exists()
+
     def test_simulate_rejects_non_load_sweep(self, runner):
         out = runner.invoke(main, ["simulate", "--sweep", "phi=0:1:0.5"])
         assert out.exit_code != 0 and "load" in out.output

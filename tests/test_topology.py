@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from collections import deque
+
 import numpy as np
 import pytest
 
+import ocsnet
 from ocsnet.topology import (
     ExpanderGraph, build_expander, expected_path_length,
     mean_expected_path_length,
@@ -85,3 +91,59 @@ class TestExpectedPathLength:
         g = ExpanderGraph(n=2, degree=2, seed=0, matchings=(m, m))
         assert g.multiplicity[0, 1] == 2
         assert expected_path_length(g) == 1.0
+
+
+def _reference_distances(graph):
+    """One breadth-first walk per source over the matchings, in plain Python."""
+    dist = np.full((graph.n, graph.n), np.inf)
+    for src in range(graph.n):
+        dist[src, src] = 0.0
+        queue = deque([src])
+        while queue:
+            v = queue.popleft()
+            for perm in graph.matchings:
+                w = perm[v]
+                if dist[src, w] == np.inf:
+                    dist[src, w] = dist[src, v] + 1
+                    queue.append(w)
+    return dist
+
+
+class TestDistances:
+    """``distances`` against a per-source walk over the same matchings."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 16, 33, 64])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
+    def test_random_graphs_match_the_reference(self, n, k):
+        for seed in range(3):
+            g = build_expander(n, k, seed)
+            assert np.array_equal(g.distances(), _reference_distances(g))
+
+    def test_dense_graph_matches_the_reference(self):
+        g = build_expander(256, 32, seed=1)
+        assert np.array_equal(g.distances(), _reference_distances(g))
+
+    @pytest.mark.parametrize("matchings", [
+        ((1, 2, 3, 0),),                # directed cycle
+        ((1, 0, 3, 2),),                # two disjoint 2-cycles
+        ((1, 0), (1, 0)),               # multi-edge
+    ])
+    def test_small_graphs_match_the_reference(self, matchings):
+        g = ExpanderGraph(n=len(matchings[0]), degree=len(matchings), seed=0,
+                          matchings=matchings)
+        assert np.array_equal(g.distances(), _reference_distances(g))
+
+    def test_layout(self):
+        d = build_expander(8, 2, seed=0).distances()
+        assert d.dtype == np.float64 and d.flags.c_contiguous
+
+
+def test_importing_the_package_loads_no_scipy():
+    code = ("import sys, ocsnet, ocsnet.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = os.path.dirname(os.path.dirname(ocsnet.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
