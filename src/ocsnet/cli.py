@@ -101,9 +101,9 @@ def analyze(config_path, profile, sweep, seeds, out_dir):
     dist = spec.distribution
     var, grid = parse_sweep(sweep)
     epl_of = {}  # degree k -> its expanders' mean path length; k moves along k_c
-    epl_static = (topology.mean_expected_path_length(config.n, config.k_s, range(seeds))
-                  if config.k_s else None)
-    with _errors_as_one_line():
+    with _errors_as_one_line():  # a disconnected sample or a non-numeric phi
+        epl_static = (topology.mean_expected_path_length(config.n, config.k_s, range(seeds))
+                      if config.k_s else None)
         phi = float(mapping.get("traffic.phi", 1.0))
         phi_m = float(mapping.get("traffic.phi_m", phi))
 
@@ -152,13 +152,18 @@ def simulate(config_path, profile, sweep, seeds, out_dir, horizon_s):
                 raise click.ClickException(
                     f"no plane available for {cls.value} flows (k_s = k_r = 0)")
     epl_graph = topology.build_expander(config.n, config.k_s, 0) if config.k_s else None
+    with _errors_as_one_line():  # a disconnected sample
+        epl = topology.expected_path_length(epl_graph) if epl_graph is not None else None
     os.makedirs(out_dir, exist_ok=True)
 
     rows = []
     for x in grid:
         for seed in range(base.seed, base.seed + seeds):
-            spec = dataclasses.replace(base, load_x=x, seed=seed)
-            flows = traffic.generate(spec, config)
+            try:
+                spec = dataclasses.replace(base, load_x=x, seed=seed)
+                flows = traffic.generate(spec, config)
+            except ValueError as exc:
+                raise click.ClickException(f"grid point load_x={x}: {exc}")
             tag = f"x{x:g}_seed{seed}"
             traffic.write_trace(flows, os.path.join(out_dir, f"trace_{tag}.csv"))
             result = simulator.run_batch(config, flows, seed=seed,
@@ -166,8 +171,7 @@ def simulate(config_path, profile, sweep, seeds, out_dir, horizon_s):
             _write_csv(out_dir, f"flows_{tag}.csv", simulator.RESULT_HEADER,
                        [[rec.flow_id, _fmt(rec.arrival_s), _fmt(rec.completion_s),
                          rec.plane, rec.hops] for rec in result.records])
-            ana = _analytic_dct(config, spec.distribution, flows, x, epl_graph) \
-                * spec.window_s
+            ana = _analytic_dct(config, spec.distribution, flows, x, epl) * spec.window_s
             rel = (result.dct_s - ana) / ana if ana > 0 else math.nan
             rows.append([_fmt(x), seed, _fmt(result.dct_s), _fmt(ana),
                          _fmt(rel) if result.completed else "did-not-complete",
@@ -177,15 +181,16 @@ def simulate(config_path, profile, sweep, seeds, out_dir, horizon_s):
     click.echo(f"wrote {len(rows)} rows to {path}")
 
 
-def _analytic_dct(config, dist, flows, x, epl_graph):
-    """Model prediction matching the configured switch mix, per second of demand."""
+def _analytic_dct(config, dist, flows, x, epl):
+    """Model prediction matching the configured switch mix, per second of
+    demand; ``epl`` is the expander's mean path length (None without one)."""
     if not flows:
         return 0.0
     if config.k_r > 0 and config.k_s == 0 and config.k_c == 0:
         demand = traffic.demand_matrix(flows, config.n)
         return analytics.dct_rotor(x, traffic.skewness_phi(demand), config)
     if config.k_s > 0 and config.k_r == 0 and config.k_c == 0:
-        return analytics.dct_expander(x, topology.expected_path_length(epl_graph))
+        return analytics.dct_expander(x, epl)
     # the simulator serves each class on the switches actually configured; a
     # class whose switch type is absent goes to another plane, for which the
     # closed form has no term
@@ -198,7 +203,6 @@ def _analytic_dct(config, dist, flows, x, epl_graph):
         phi_m = traffic.skewness_phi(demand_m)
     except ValueError:
         phi_m = 1.0
-    epl = topology.expected_path_length(epl_graph) if epl_graph is not None else None
     return analytics.dct_hybrid_uniform(x, dist, phi_m, config, epl=epl, split=split)
 
 

@@ -22,6 +22,7 @@ returns whether the plane took the flow, handles its own events through
 """
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from collections import deque
@@ -69,7 +70,8 @@ class _RotorPlane:
     pair's admitted bits up to and including that flow ``log_target[f]``,
     and the pair's next entry ``log_next[f]`` (-1 for none). ``head`` and
     ``tail``, indexed by ``src * n + dst``, hold a pair's oldest waiting
-    entry (-1 when none waits) and its last admitted entry.
+    entry (-1 when none waits) and its last admitted entry. Entry 0 is a
+    sink that every pair's tail starts at; its next entry is never read.
     """
 
     def __init__(self, config: NetworkConfig, sim):
@@ -87,13 +89,18 @@ class _RotorPlane:
         self.delivered = np.zeros((n, n))
         self.pair_used_relay = np.zeros((n, n), dtype=bool)
         self.head = np.full(n * n, -1)
-        self.tail = np.full(n * n, -1)
+        self.tail = np.zeros(n * n, dtype=np.int64)
         self.next_target = np.full(n * n, np.inf)   # log_target of each head
-        self.log_fid = np.empty(0, dtype=np.int64)
-        self.log_target = np.empty(0)
-        self.log_next = np.empty(0, dtype=np.int64)
-        self.n_log = 0
-        self.pending = []               # arrival, src, dst, bits, fid per flow
+        self.log_fid = np.zeros(1, dtype=np.int64)
+        self.log_target = np.zeros(1)
+        self.log_next = np.zeros(1, dtype=np.int64)
+        self.n_log = 1
+        self.pair_total = [0.0] * (n * n)   # bits added so far per pair
+        # src, dst, bits, fid, target per flow, in add order; flat, since a
+        # tuple per waiting flow doubles the garbage collector's passes, and
+        # src and dst are the caller's objects where a pair id is a new int
+        self.pending = []
+        self.arrivals = []              # the pending flows' arrival times
         self.pending_bits = 0.0
         self.in_network = 0.0           # queue + relay bits, as of the last slot end
         self.scheduled = False
@@ -104,7 +111,10 @@ class _RotorPlane:
                                                    self.delivered))
 
     def add(self, fid, src, dst, size, now):
-        self.pending.extend((now, src, dst, float(size), fid))
+        pair, bits = src * self.n + dst, float(size)
+        self.pair_total[pair] += bits
+        self.pending.extend((src, dst, bits, fid, self.pair_total[pair]))
+        self.arrivals.append(now)
         self.pending_bits += size
         if not self.scheduled:
             slot = math.ceil(max(now, 0.0) / self.period - 1e-12)
@@ -136,58 +146,43 @@ class _RotorPlane:
         """Queue the pending flows that arrived by ``slot_start`` and append
         them to their pairs' FIFOs.
 
+        Flows are added in time order, so these are a prefix of
+        ``pending`` and are admitted in add order: the target ``add`` summed
+        for each is the sum one ``+=`` per admitted flow of its pair gives.
         ``np.add.at`` adds repeated pairs in index order, so each queue
-        entry gets the same float sums as one ``+=`` per flow. Targets are
-        summed one rank at a time: a pair's k-th new flow adds its bits to
-        the target of its (k-1)-th, or of the pair's last admitted entry,
-        which is the sum one ``+=`` per flow gives. ``pending_bits`` is
-        reduced by a left-to-right cumsum, which subtracts in the same order.
+        entry gets the same float sums as one ``+=`` per flow.
+        ``pending_bits`` is reduced by a left-to-right cumsum, which
+        subtracts in the same order.
         """
-        pending = np.fromiter(self.pending, float, len(self.pending)).reshape(-1, 5)
-        now = pending[:, 0] <= slot_start + 1e-12
-        if not now.any():
+        k = bisect.bisect_right(self.arrivals, slot_start + 1e-12)
+        if not k:
             return
-        self.pending = pending[~now].ravel().tolist()
-        _, src, dst, bits, fid = pending[now].T
-        src, dst, fid = (a.astype(np.int64) for a in (src, dst, fid))
+        admitted = np.fromiter(self.pending[:5 * k], float, 5 * k).reshape(-1, 5)
+        del self.pending[:5 * k], self.arrivals[:k]
+        src, dst, bits, fid, target = admitted.T
+        pair, fid = (src * self.n + dst).astype(np.int64), fid.astype(np.int64)
         self.pending_bits = float(np.cumsum(np.r_[self.pending_bits, -bits])[-1])
-        np.add.at(self.queue, (src, dst), bits)
+        np.add.at(self._flat[0], pair, bits)
 
-        pair = src * self.n + dst
         order = np.argsort(pair, kind="stable")
-        pair, bits, fid = pair[order], bits[order], fid[order]
-        starts = np.r_[True, pair[1:] != pair[:-1]]
-        first = np.flatnonzero(starts)
+        pair, fid, target = pair[order], fid[order], target[order]
+        first = np.flatnonzero(np.r_[True, pair[1:] != pair[:-1]])
         last = np.r_[first[1:], pair.size] - 1
-        group = np.cumsum(starts) - 1
-        rank = np.arange(pair.size) - first[group]
         keys = pair[first]
-        prev = self.tail[keys]
-        linked = prev >= 0
-        total = np.zeros(keys.size)
-        total[linked] = self.log_target[prev[linked]]
-        target = np.empty(pair.size)
-        by_rank = np.argsort(rank, kind="stable")
-        bounds = np.cumsum(np.bincount(rank))
-        for lo, hi in zip(np.r_[0, bounds[:-1]], bounds):
-            at = by_rank[lo:hi]
-            g = group[at]
-            total[g] += bits[at]
-            target[at] = total[g]
 
         base = self.n_log
         self.n_log += pair.size
         if self.n_log > self.log_fid.size:
-            size = max(self.n_log, 2 * self.log_fid.size)
+            grow = max(self.n_log, 2 * self.log_fid.size) - self.log_fid.size
             self.log_fid, self.log_target, self.log_next = (
-                np.resize(a, size) for a in (self.log_fid, self.log_target,
-                                             self.log_next))
+                np.concatenate((a, np.zeros(grow, a.dtype)))
+                for a in (self.log_fid, self.log_target, self.log_next))
         idx = base + np.arange(pair.size)
         self.log_fid[idx] = fid
         self.log_target[idx] = target
         self.log_next[idx] = idx + 1
         self.log_next[idx[last]] = -1
-        self.log_next[prev[linked]] = idx[first[linked]]
+        self.log_next[self.tail[keys]] = idx[first]
         empty = self.head[keys] < 0
         self.head[keys[empty]] = idx[first[empty]]
         self.next_target[keys[empty]] = target[first[empty]]
@@ -432,12 +427,13 @@ class _ExpanderPlane:
     def __init__(self, graph: ExpanderGraph, config: NetworkConfig, rng, sim):
         self.sim = sim
         self.graph = graph
-        self.capacity = {}
-        mult = graph.multiplicity
-        for u, v in np.argwhere(mult > 0):
-            self.capacity[(int(u), int(v))] = float(mult[u, v]) * config.r
+        self.n = graph.n
+        mult = graph.multiplicity.reshape(-1)
+        # link u -> v has id u * n + v, so ids sort as the (u, v) pairs do
+        self.capacity = {e: float(mult[e]) * config.r
+                         for e in np.flatnonzero(mult).tolist()}
         self.dist = graph.distances()
-        self.adj = [np.nonzero(row)[0] for row in graph.adjacency()]
+        self.adj = graph.adjacency()
         self._hop_tables = {}        # dst -> _hops_to(dst)
         self.rng = rng
         self.flows = {}              # fid -> [residual, rate, path_edges]
@@ -449,7 +445,7 @@ class _ExpanderPlane:
 
     def add(self, fid, src, dst, size, now):
         path = self._sample_path(src, dst)
-        edges = list(zip(path[:-1], path[1:]))
+        edges = [u * self.n + v for u, v in zip(path[:-1], path[1:])]
         self.flows[fid] = [float(size), 0.0, edges]
         for e in edges:
             self.on_edge.setdefault(e, set()).add(fid)
@@ -469,33 +465,25 @@ class _ExpanderPlane:
         each. Its slice of ``cdf`` is built exactly as
         ``Generator.choice(cand, p=w / w.sum())`` builds it, so
         ``rng.random()`` + ``searchsorted(side="right")`` makes the same
-        draw ``choice`` would.
+        draw ``choice`` would. ``step[v, u]`` marks u as a next hop of v;
+        candidates are listed in ascending node order.
         """
         table = self._hop_tables.get(dst)
         if table is None:
-            n = self.graph.n
             d = self.dist[:, dst]
-            counts = np.zeros(n)
+            step = self.adj & (d == d[:, None] - 1) & np.isfinite(d)[:, None]
+            counts = np.zeros(self.n)
             counts[dst] = 1.0
-            hops = {}
-            for v in np.argsort(d):
-                v = int(v)
-                if v == dst or not np.isfinite(d[v]):
-                    continue
-                nxt = self.adj[v]
-                nxt = nxt[self.dist[nxt, dst] == d[v] - 1]
-                w = counts[nxt]
-                counts[v] = w.sum()
-                cdf = (w / counts[v]).cumsum()
-                cdf /= cdf[-1]
-                hops[v] = (nxt, cdf)
-            start, cand, cdf = [0], [], []
-            for v in range(n):
-                if v in hops:
-                    cand.extend(hops[v][0].tolist())
-                    cdf.extend(hops[v][1].tolist())
-                start.append(len(cand))
-            table = self._hop_tables[dst] = (counts, start, cand, np.array(cdf))
+            for h in range(1, int(d[np.isfinite(d)].max()) + 1):
+                layer = d == h           # whole numbers: exact in any order
+                counts[layer] = step[layer] @ counts
+            # a row's cumsum adds only 0.0 between two candidates
+            cum = np.divide(counts, counts[:, None], out=np.zeros(step.shape), where=step)
+            cum = cum.cumsum(axis=1)
+            rows, cand = np.nonzero(step)
+            table = self._hop_tables[dst] = (
+                counts, rows.searchsorted(np.arange(self.n + 1)).tolist(),
+                cand.tolist(), cum[rows, cand] / cum[rows, -1])
         return table
 
     def _sample_path(self, src, dst):

@@ -376,6 +376,36 @@ class TestCommands:
         assert out.output.startswith("Error: graph is disconnected: no path from")
         assert out.output.count("\n") == 1
 
+    @pytest.mark.parametrize("command", [
+        ["analyze", "--sweep", "load_x=0.3:0.3:0.1", "--seeds", "1"],
+        ["simulate", "--sweep", "load_x=0.3:0.3:0.1"]])
+    def test_disconnected_static_expander_is_one_error_line(self, runner, tmp_path,
+                                                            command):
+        # the one derangement of build_expander(16, 1, 0) leaves 3 out of 0's reach
+        p = tmp_path / "cfg.txt"
+        p.write_text("network.n = 16\nnetwork.k_s = 1\nnetwork.k_r = 4\n"
+                     "network.k_c = 4\ntraffic.window_s = 2e-3\n")
+        d = tmp_path / "out"
+        d.mkdir()
+        out = runner.invoke(main, command + ["--config", str(p), "--out", str(d)])
+        assert out.exit_code == 1
+        assert out.output == "Error: graph is disconnected: no path from 0 to 3\n"
+        assert list(d.iterdir()) == []
+
+    def test_simulate_skewed_grid_point_with_one_active_tor_is_one_error_line(
+            self, runner, tmp_path):
+        p = tmp_path / "cfg.txt"
+        p.write_text("network.n = 16\nnetwork.k_s = 2\nnetwork.k_r = 4\n"
+                     'network.k_c = 4\ntraffic.window_s = 2e-3\ntraffic.model = "skewed"\n')
+        d = tmp_path / "out"
+        d.mkdir()
+        out = runner.invoke(main, ["simulate", "--config", str(p),
+                                   "--sweep", "load_x=0.05:0.05:0.1", "--out", str(d)])
+        assert out.exit_code == 1
+        assert out.output.startswith("Error: grid point load_x=0.05: ")
+        assert out.output.count("\n") == 1
+        assert list(d.iterdir()) == []
+
     def test_threshold_without_a_finite_value_is_one_error_line(self, runner, tmp_path):
         # a 2 Mbit slot beats the rotor's 1.1 Mbit period at phi = 1, not at phi = 0
         p = tmp_path / "cfg.txt"

@@ -3,8 +3,13 @@ progressive filler and choice-based path sampler it replaced.
 
 The oracles below are the previous ``_ExpanderPlane`` code, kept verbatim
 apart from being lifted out of the class (and, for the filler, recording
-the bottleneck edges in the order it froze them). The arithmetic of the
-two fillers is the same, so rates must agree exactly, not approximately.
+the bottleneck edges in the order it froze them, and for the path code,
+reading a node's neighbours from the plane's boolean adjacency). The
+arithmetic of the two fillers is the same, so rates must agree exactly,
+not approximately. The plane's next-hop tables, built by array passes
+over all nodes at once, must equal the per-node build bit for bit. The
+plane keys a link u -> v by ``u * n + v``; the oracle filler takes
+whatever keys the flows' paths and the capacities use.
 
 The plane re-fills only the flows linked to an added or finished flow
 through shared links, which the filler finds by walking the plane's own
@@ -22,7 +27,7 @@ from hypothesis import given, settings, strategies as st
 
 from ocsnet import config_io, simulator, traffic
 from ocsnet.model import NetworkConfig, validate
-from ocsnet.topology import build_expander
+from ocsnet.topology import ExpanderGraph, build_expander
 
 
 def oracle_fill(flows, capacity):
@@ -60,9 +65,37 @@ def oracle_counts(self, dst):
         v = int(v)
         if v == dst or not np.isfinite(d[v]):
             continue
-        nxt = self.adj[v]
+        nxt = np.flatnonzero(self.adj[v])
         counts[v] = counts[nxt[self.dist[nxt, dst] == d[v] - 1]].sum()
     return counts
+
+
+def oracle_hops_to(self, dst):
+    """Next-hop tables toward ``dst``, built one node at a time in
+    distance order."""
+    n = self.graph.n
+    d = self.dist[:, dst]
+    counts = np.zeros(n)
+    counts[dst] = 1.0
+    hops = {}
+    for v in np.argsort(d):
+        v = int(v)
+        if v == dst or not np.isfinite(d[v]):
+            continue
+        nxt = np.flatnonzero(self.adj[v])
+        nxt = nxt[self.dist[nxt, dst] == d[v] - 1]
+        w = counts[nxt]
+        counts[v] = w.sum()
+        cdf = (w / counts[v]).cumsum()
+        cdf /= cdf[-1]
+        hops[v] = (nxt, cdf)
+    start, cand, cdf = [0], [], []
+    for v in range(n):
+        if v in hops:
+            cand.extend(hops[v][0].tolist())
+            cdf.extend(hops[v][1].tolist())
+        start.append(len(cand))
+    return counts, start, cand, np.array(cdf)
 
 
 def oracle_sample_path(self, src, dst):
@@ -73,7 +106,7 @@ def oracle_sample_path(self, src, dst):
     path = [src]
     v = src
     while v != dst:
-        nxt = self.adj[v]
+        nxt = np.flatnonzero(self.adj[v])
         nxt = nxt[self.dist[nxt, dst] == self.dist[v, dst] - 1]
         w = counts[nxt]
         v = int(self.rng.choice(nxt, p=w / w.sum()))
@@ -82,10 +115,13 @@ def oracle_sample_path(self, src, dst):
 
 
 def _plane(n, k_s, graph_seed, rng_seed):
-    config = validate(NetworkConfig(n=n, k_s=k_s, k_r=0, k_c=0, r=10e9,
-                                    delta=100e-6, R_r=10e-6, R_c=15e-3))
-    return simulator._ExpanderPlane(build_expander(n, k_s, graph_seed), config,
-                                    np.random.default_rng(rng_seed), None)
+    return _plane_on(build_expander(n, k_s, graph_seed), rng_seed)
+
+
+def _plane_on(graph, rng_seed=0):
+    config = validate(NetworkConfig(n=graph.n, k_s=graph.degree, k_r=0, k_c=0,
+                                    r=10e9, delta=100e-6, R_r=10e-6, R_c=15e-3))
+    return simulator._ExpanderPlane(graph, config, np.random.default_rng(rng_seed), None)
 
 
 def _flows(paths):
@@ -131,7 +167,7 @@ def test_heap_filling_matches_oracle_on_random_expanders(data):
     # flows that share their whole path with an earlier flow
     dup = data.draw(st.lists(st.integers(0, len(paths) - 1), max_size=10), label="dup")
     paths += [paths[i] for i in dup]
-    capacity = dict(plane.capacity)
+    capacity = {divmod(e, n): c for e, c in plane.capacity.items()}
     if data.draw(st.booleans(), label="redraw_caps"):
         capacity = {e: data.draw(_CAPS) for e in sorted(capacity)}
     _assert_same_filling(_flows(paths), capacity)
@@ -154,6 +190,39 @@ def test_heap_filling_matches_oracle_on_random_expanders(data):
 ])
 def test_heap_filling_matches_oracle_on_hand_built_ties(paths, capacity, order):
     assert _assert_same_filling(_flows(paths), capacity) == order
+
+
+def _assert_same_tables(graph):
+    plane = _plane_on(graph)
+    for dst in range(graph.n):
+        got, want = plane._hops_to(dst), oracle_hops_to(plane, dst)
+        for a, b in zip(got, want):
+            assert type(a) is type(b)
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype
+            assert np.array_equal(a, b), f"dst {dst}"
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 16, 33, 64])
+def test_array_hop_tables_match_the_per_node_build(n, k):
+    for seed in range(3):
+        _assert_same_tables(build_expander(n, k, seed))
+
+
+def test_dense_hop_tables_match_the_per_node_build():
+    _assert_same_tables(build_expander(256, 32, 0))
+
+
+@pytest.mark.parametrize("matchings", [
+    ((1, 0, 3, 2),),                # two disjoint 2-cycles
+    ((1, 0), (1, 0)),               # multi-edge
+    ((1, 2, 3, 0, 5, 6, 7, 4), (1, 2, 3, 0, 5, 6, 7, 4),
+     (4, 5, 6, 7, 0, 1, 2, 3)),     # a doubled matching
+])
+def test_small_hop_tables_match_the_per_node_build(matchings):
+    _assert_same_tables(ExpanderGraph(n=len(matchings[0]), degree=len(matchings),
+                                      seed=0, matchings=matchings))
 
 
 def test_cached_cdf_sampling_matches_choice_draw_for_draw():
@@ -279,8 +348,9 @@ def test_local_refilling_matches_a_fresh_filling_of_every_flow(data):
 # f3 only through f2.
 _COMPONENTS = [[0, 1], [0, 1], [2, 3, 4], [3, 4, 5], [6, 7]]
 _BRIDGE = [0, 1, 2, 3]
-_BRIDGED_CAPS = {(0, 1): 3.0, (1, 2): 10.0, (2, 3): 3.0, (3, 4): 5.0,
-                 (4, 5): 10.0, (6, 7): 7.0}
+_BRIDGED_CAPS = {8 * u + v: c for (u, v), c in {
+    (0, 1): 3.0, (1, 2): 10.0, (2, 3): 3.0, (3, 4): 5.0, (4, 5): 10.0,
+    (6, 7): 7.0}.items()}
 
 
 def _add_on_path(plane, fid, path):
