@@ -4,6 +4,7 @@ from .model import (
     DemandMatrix,
     Flow,
     FlowClass,
+    FlowTable,
     NetworkConfig,
     class_of,
     make_flow,
@@ -45,7 +46,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalyticsReport", "ClassRates", "DemandMatrix", "ExpanderGraph", "Flow",
-    "FlowClass", "FlowSizeDistribution", "NetworkConfig", "SimResult",
+    "FlowClass", "FlowSizeDistribution", "FlowTable", "NetworkConfig", "SimResult",
     "TrafficSpec", "build_expander", "cache_capacity_z", "class_of", "class_rates",
     "dct_all_to_all_rotor", "dct_cache", "dct_expander", "dct_hybrid_uniform",
     "dct_rotor", "default_mix", "demand_matrix", "expected_path_length",

@@ -144,6 +144,82 @@ def make_flow(src, dst, size_bits, arrival_s, config: NetworkConfig) -> Flow:
     return Flow(src, dst, int(size_bits), arrival_s, class_of(size_bits, config))
 
 
+FLOW_CLASSES = tuple(FlowClass)   # FlowTable.flow_class codes index this
+_COLUMN_DTYPES = {"src": np.int32, "dst": np.int32, "size_bits": None,
+                  "arrival_s": np.float64, "flow_class": np.int8}
+
+
+@dataclass(frozen=True, eq=False)
+class FlowTable:
+    """Flows as columns: row i is flow i, and ``flow_class`` holds codes
+    into ``FLOW_CLASSES``.
+
+    ``size_bits`` is int64 as ``traffic.generate`` and ``read_trace`` make
+    it; ``of`` keeps whatever ``np.asarray`` makes of hand-built sizes, so
+    a fractional size stays exact. Rows hold ``Flow``'s invariant, and the
+    columns are made read-only so that they keep holding it: an array
+    passed in with its column's dtype is used, not copied, and is frozen.
+    """
+
+    src: np.ndarray
+    dst: np.ndarray
+    size_bits: np.ndarray
+    arrival_s: np.ndarray
+    flow_class: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in _COLUMN_DTYPES.items():
+            column = np.asarray(getattr(self, name), dtype)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        columns = self._columns()
+        if any(c.ndim != 1 or c.size != self.src.size for c in columns):
+            raise ValueError("flow columns must be 1-D and of equal length, got shapes "
+                             + ", ".join(str(c.shape) for c in columns))
+        if (self.src == self.dst).any():
+            i = int(np.argmax(self.src == self.dst))
+            raise ValueError(f"flow source and destination coincide ({self.src[i]})")
+        if (self.size_bits <= 0).any():
+            i = int(np.argmax(self.size_bits <= 0))
+            raise ValueError(f"flow size must be positive, got {self.size_bits[i]}")
+        if ((self.flow_class < 0) | (self.flow_class >= len(FLOW_CLASSES))).any():
+            raise ValueError(f"flow class codes must lie in [0, {len(FLOW_CLASSES)})")
+
+    @classmethod
+    def of(cls, flows) -> FlowTable:
+        """``flows`` itself if it is a table, else a table of its ``Flow`` rows."""
+        if isinstance(flows, cls):
+            return flows
+        flows = list(flows)
+        sizes = np.asarray([f.size_bits for f in flows]) if flows else np.zeros(0, np.int64)
+        return cls([f.src for f in flows], [f.dst for f in flows], sizes,
+                   [f.arrival_s for f in flows],
+                   [FLOW_CLASSES.index(f.flow_class) for f in flows])
+
+    def _columns(self):
+        return (self.src, self.dst, self.size_bits, self.arrival_s, self.flow_class)
+
+    def __len__(self):
+        return self.src.size
+
+    def __iter__(self):
+        return map(Flow, self.src.tolist(), self.dst.tolist(), self.size_bits.tolist(),
+                   self.arrival_s.tolist(), map(FLOW_CLASSES.__getitem__,
+                                                self.flow_class.tolist()))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return FlowTable(*(c[index] for c in self._columns()))
+        src, dst, size, arrival, code = (c[index].item() for c in self._columns())
+        return Flow(src, dst, size, arrival, FLOW_CLASSES[code])
+
+    def __eq__(self, other):
+        if not isinstance(other, FlowTable):
+            return NotImplemented
+        return all(a.dtype == b.dtype and np.array_equal(a, b)
+                   for a, b in zip(self._columns(), other._columns()))
+
+
 @dataclass(frozen=True)
 class DemandMatrix:
     """n x n accumulated bits over a fixed window; diagonal is zero."""

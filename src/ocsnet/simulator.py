@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import FlowClass, NetworkConfig
+from .model import FLOW_CLASSES, FlowTable, NetworkConfig
 from .topology import ExpanderGraph, build_expander
 
 _TOL = 1e-6  # bits
@@ -301,6 +301,10 @@ class _CachePlane:
     every pair that can start after a release sends from the freed source
     or to the freed destination, and ``_refill`` looks only at that row and
     that column.
+
+    ``n_free_src[i]`` and ``n_free_dst[j]`` count the switches on which
+    source i and destination j are free; ``add`` scans the switches only
+    when both are nonzero, since otherwise none can take the flow.
     """
 
     def __init__(self, config: NetworkConfig, sim, spill):
@@ -312,24 +316,29 @@ class _CachePlane:
         n = config.n
         self.free_src = [set(range(n)) for _ in range(self.k_c)]
         self.free_dst = [set(range(n)) for _ in range(self.k_c)]
+        self.n_free_src = [self.k_c] * n
+        self.n_free_dst = [self.k_c] * n
         self.pending = {}            # (src, dst) -> deque of (arrival, fid, size)
         self.residual = 0.0
 
     def add(self, fid, src, dst, size, now):
-        for s in range(self.k_c):
-            if src in self.free_src[s] and dst in self.free_dst[s]:
-                self._start(s, fid, src, dst, size, now)
-                break
-        else:
-            if self.spill:
-                return False
-            self.pending.setdefault((src, dst), deque()).append((now, fid, size))
+        if self.n_free_src[src] and self.n_free_dst[dst]:
+            for s in range(self.k_c):
+                if src in self.free_src[s] and dst in self.free_dst[s]:
+                    self._start(s, fid, src, dst, size, now)
+                    self.residual += size
+                    return True
+        if self.spill:
+            return False
+        self.pending.setdefault((src, dst), deque()).append((now, fid, size))
         self.residual += size
         return True
 
     def _start(self, s, fid, src, dst, size, now):
         self.free_src[s].discard(src)
         self.free_dst[s].discard(dst)
+        self.n_free_src[src] -= 1
+        self.n_free_dst[dst] -= 1
         done = now + self.R_c + size / self.r
         self.sim.schedule(done, "cache_done", (s, fid, src, dst, size))
 
@@ -341,6 +350,8 @@ class _CachePlane:
         self.sim.record(fid, now, "cache", 1)
         self.free_src[s].add(src)
         self.free_dst[s].add(dst)
+        self.n_free_src[src] += 1
+        self.n_free_dst[dst] += 1
         self._refill(s, src, dst, now)
 
     def _refill(self, s, src, dst, now):
@@ -579,20 +590,19 @@ class Simulator:
         self._planes = [p for p in (self.rotor, self.cache, self.expander)
                         if p is not None]
         self._spill_to = self.rotor or self.expander
-        # the small and medium entries are None only when there is nowhere
-        # to spill, so only large flows ever reach self._spill_to
-        self._plane_of = {FlowClass.SMALL: self.expander or self.rotor,
-                          FlowClass.MEDIUM: self._spill_to,
-                          FlowClass.LARGE: self.cache}
+        # indexed by class code (FLOW_CLASSES); the small and medium entries
+        # are None only when there is nowhere to spill, so only large flows
+        # ever reach self._spill_to
+        self._plane_of = [self.expander or self.rotor, self._spill_to, self.cache]
         self._plane_of_event = {"rotor_slot": self.rotor, "cache_done": self.cache,
                                 "expander": self.expander}
         self._clock = 0.0
 
     def schedule(self, t, kind, payload):
-        """Queue an event. Arrival i sorts as ``(t, i)``; the k-th other
-        event as ``(t, len(flows) + k)``."""
+        """Queue an event. Arrival i, whose payload is i, sorts as ``(t, i)``;
+        the k-th other event as ``(t, len(flows) + k)``."""
         if kind == "arrival":
-            seq = payload[0]
+            seq = payload
         else:
             seq = self._seq
             self._seq += 1
@@ -602,7 +612,8 @@ class Simulator:
         self.records[fid] = FlowRecord(fid, self._arrivals[fid], t, plane, hops)
 
     def run(self, flows, *, batch=False) -> SimResult:
-        """Serve ``flows`` until all complete or the horizon passes.
+        """Serve ``flows`` (a ``FlowTable`` or ``Flow`` objects) until all
+        complete or the horizon passes.
 
         ``batch`` serves every flow as arriving at 0.0. Arrivals enter the
         heap one at a time in ``(arrival_s, index)`` order, the next one
@@ -610,20 +621,22 @@ class Simulator:
         flows in flight, and events pop in the same order as if every
         arrival had been pushed up front.
         """
+        flows = self._take(flows)
         n = len(flows)
         if batch:
             self._arrivals = [0.0] * n
             order = iter(range(n))
         else:
-            self._arrivals = [f.arrival_s for f in flows]
-            order = iter(sorted(range(n), key=self._arrivals.__getitem__))
+            self._arrivals = flows.arrival_s.tolist()
+            # stable, as sorted(range(n), key=...) is
+            order = iter(np.argsort(flows.arrival_s, kind="stable").tolist())
         self._seq = n
         self.records = [None] * n
 
         def schedule_next_arrival():
             i = next(order, None)
             if i is not None:
-                self.schedule(self._arrivals[i], "arrival", (i, flows[i]))
+                self.schedule(self._arrivals[i], "arrival", i)
 
         schedule_next_arrival()
         completed = True
@@ -635,7 +648,7 @@ class Simulator:
             self._clock = t
             if kind == "arrival":
                 schedule_next_arrival()
-                self._on_arrival(payload[0], payload[1], t)
+                self._on_arrival(payload, t)
             else:
                 self._plane_of_event[kind].on_event(payload, t)
             if self.audit:
@@ -652,15 +665,23 @@ class Simulator:
             plane_bits=dict(self.plane_bits),
         )
 
-    def _on_arrival(self, fid, flow, t):
-        self.injected_bits += flow.size_bits
-        args = (fid, flow.src, flow.dst, flow.size_bits, t)
-        plane = self._plane_of[flow.flow_class]
+    def _take(self, flows) -> FlowTable:
+        """Hold the columns ``_on_arrival`` reads, one list each."""
+        flows = FlowTable.of(flows)
+        self._src, self._dst, self._size, self._code = (
+            c.tolist() for c in (flows.src, flows.dst, flows.size_bits, flows.flow_class))
+        return flows
+
+    def _on_arrival(self, fid, t):
+        size = self._size[fid]
+        self.injected_bits += size
+        args = (fid, self._src[fid], self._dst[fid], size, t)
+        plane = self._plane_of[self._code[fid]]
         if plane is not None and plane.add(*args):
             return
         if self._spill_to is None:
-            raise ValueError(f"no plane available for {flow.flow_class.value} flows "
-                             "(k_s = k_r = 0)")
+            raise ValueError(f"no plane available for {FLOW_CLASSES[self._code[fid]].value} "
+                             "flows (k_s = k_r = 0)")
         self.spill_count += 1
         self._spill_to.add(*args)
 

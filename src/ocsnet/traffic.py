@@ -15,10 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import FlowSizeDistribution
-from .model import DemandMatrix, Flow, FlowClass, NetworkConfig
+from .model import FLOW_CLASSES, DemandMatrix, FlowClass, FlowTable, NetworkConfig
 
 TRACE_HEADER = ["arrival_s", "src", "dst", "size_bits", "class"]
-_CLASSES = np.array([FlowClass.SMALL, FlowClass.MEDIUM, FlowClass.LARGE], dtype=object)
+_CODE_OF_VALUE = {c.value: code for code, c in enumerate(FLOW_CLASSES)}
+_TRACE_ROWS = 1024   # rows per write: ~0.25 MB of row text, and no slower than one join
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,7 @@ def class_rates(distribution: FlowSizeDistribution, x, config: NetworkConfig) ->
     )
 
 
-def generate(spec: TrafficSpec, config: NetworkConfig) -> list[Flow]:
+def generate(spec: TrafficSpec, config: NetworkConfig) -> FlowTable:
     """Generate one window of flows, sorted by arrival time; deterministic per seed."""
     rng = np.random.default_rng(spec.seed)
     n = config.n
@@ -92,9 +93,6 @@ def generate(spec: TrafficSpec, config: NetworkConfig) -> list[Flow]:
     lam = rate / mean_size * spec.window_s
     counts = rng.poisson(lam, size=len(sources))
     total = int(counts.sum())
-    if total == 0:
-        return []
-
     src = np.repeat(sources, counts)
     arrivals = rng.uniform(0.0, spec.window_s, size=total)
     sizes = dist.sample(rng, total)
@@ -111,10 +109,9 @@ def generate(spec: TrafficSpec, config: NetworkConfig) -> list[Flow]:
     order = np.argsort(arrivals, kind="stable")
     sizes = sizes[order]
     # class_of's half-open intervals: a size at a threshold is in the upper class
-    classes = _CLASSES[np.searchsorted(
-        (config.medium_threshold_bits, config.large_threshold_bits), sizes, side="right")]
-    return list(map(Flow, src[order].tolist(), dst[order].tolist(), sizes.tolist(),
-                    arrivals[order].tolist(), classes))
+    codes = np.searchsorted(
+        (config.medium_threshold_bits, config.large_threshold_bits), sizes, side="right")
+    return FlowTable(src[order], dst[order], sizes, arrivals[order], codes)
 
 
 def demand_matrix(flows, n, class_filter=None) -> DemandMatrix:
@@ -123,13 +120,13 @@ def demand_matrix(flows, n, class_filter=None) -> DemandMatrix:
     ``np.add.at`` adds repeated pairs in flow order, so each cell gets the
     same float sum as one ``+=`` per flow.
     """
-    wanted = None if class_filter is None else FlowClass(class_filter)
-    picked = [f for f in flows if wanted is None or f.flow_class is wanted]
+    flows = FlowTable.of(flows)
+    src, dst, sizes = flows.src, flows.dst, flows.size_bits
+    if class_filter is not None:
+        picked = flows.flow_class == FLOW_CLASSES.index(FlowClass(class_filter))
+        src, dst, sizes = src[picked], dst[picked], sizes[picked]
     cells = np.zeros((n, n))
-    np.add.at(cells,
-              (np.array([f.src for f in picked], dtype=np.intp),
-               np.array([f.dst for f in picked], dtype=np.intp)),
-              np.array([f.size_bits for f in picked], dtype=float))
+    np.add.at(cells, (src, dst), sizes.astype(float))
     return DemandMatrix(n=n, cells=cells)
 
 
@@ -170,21 +167,40 @@ def skewness_phi(demand: DemandMatrix, active_tors=None) -> float:
 
 
 def write_trace(flows, path):
-    """Export flows as CSV ``arrival_s,src,dst,size_bits,class``."""
+    """Export flows as CSV ``arrival_s,src,dst,size_bits,class``.
+
+    The rows are the bytes ``csv.writer`` writes: ``\\r\\n`` line ends and
+    no field that needs quoting. They are formatted ``_TRACE_ROWS`` at a
+    time, so the text and Python values held at once stay bounded.
+    """
+    flows = FlowTable.of(flows)
+    values = [c.value for c in FLOW_CLASSES]
+    columns = (flows.arrival_s, flows.src, flows.dst, flows.size_bits, flows.flow_class)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
-        for f in flows:
-            writer.writerow([repr(f.arrival_s), f.src, f.dst, f.size_bits, f.flow_class.value])
+        fh.write(",".join(TRACE_HEADER) + "\r\n")
+        for lo in range(0, len(flows), _TRACE_ROWS):
+            arrival, src, dst, size, code = (c[lo:lo + _TRACE_ROWS].tolist() for c in columns)
+            fh.write("".join(map("{!r},{},{},{},{}\r\n".format, arrival, src, dst, size,
+                                 map(values.__getitem__, code))))
 
 
-def read_trace(path) -> list[Flow]:
-    flows = []
+def read_trace(path) -> FlowTable:
+    """Load a ``write_trace`` CSV; a malformed row raises ValueError."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != TRACE_HEADER:
+        reader = csv.reader(fh)
+        if next(reader, None) != TRACE_HEADER:
             raise ValueError(f"{path}: expected header {','.join(TRACE_HEADER)}")
-        for row in reader:
-            flows.append(Flow(int(row["src"]), int(row["dst"]), int(row["size_bits"]),
-                              float(row["arrival_s"]), FlowClass(row["class"])))
-    return flows
+        rows = [row for row in reader if row]   # a blank line reads as []; skip it
+    if any(len(row) != len(TRACE_HEADER) for row in rows):
+        raise ValueError(f"{path}: every row needs {len(TRACE_HEADER)} fields")
+    arrival, src, dst, size, cls = zip(*rows) if rows else [()] * len(TRACE_HEADER)
+    try:
+        codes = [_CODE_OF_VALUE[c] for c in cls]
+    except KeyError as exc:
+        raise ValueError(f"{path}: unknown flow class {exc.args[0]!r}") from None
+    try:
+        return FlowTable([int(v) for v in src], [int(v) for v in dst],
+                         np.array([int(v) for v in size], np.int64),
+                         [float(v) for v in arrival], codes)
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -84,7 +84,9 @@ def oracle_cache_plane():
 
 class CheckedSimulator(simulator.Simulator):
     """Logs each circuit start as ``(time, flow id)`` and checks after every
-    event that no waiting pair has both its ports free on any switch."""
+    event that no waiting pair has both its ports free on any switch, and
+    that the plane's free-switch counts match its port sets (the oracle
+    plane keeps no counts)."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -102,6 +104,10 @@ class CheckedSimulator(simulator.Simulator):
             assert waiting
             for s in range(cache.k_c):
                 assert not (src in cache.free_src[s] and dst in cache.free_dst[s])
+        if not isinstance(cache, OracleCachePlane):
+            for i in range(len(cache.n_free_src)):
+                assert cache.n_free_src[i] == sum(i in fs for fs in cache.free_src)
+                assert cache.n_free_dst[i] == sum(i in fd for fd in cache.free_dst)
 
 
 def run_checked(cfg, flows, batch, **kwargs):

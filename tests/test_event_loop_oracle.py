@@ -6,9 +6,11 @@ first event, arrival times in a dict, records appended and sorted at the
 end. Its rotor-slot branch no longer overwrites ``delivered_bits`` with
 ``injected_bits`` less the residual, because the rotor plane now counts its
 deliveries itself, and its rotor-slot and cache-done branches call the
-planes' common ``on_event``. ``oracle_run_batch`` is the previous
-``run_batch``, which copied every flow with its arrival reset to zero. The planes are shared, so
-records, completion time and bit counts must agree exactly.
+planes' common ``on_event``. It loads the flow columns with ``_take`` and
+hands ``_on_arrival`` the flow index, as the current loop does.
+``oracle_run_batch`` is the previous ``run_batch``, which copied every flow
+with its arrival reset to zero. The planes are shared, so records,
+completion time and bit counts must agree exactly.
 """
 import heapq
 from collections import Counter
@@ -38,9 +40,10 @@ class EagerSimulator(simulator.Simulator):
         self.records.append(FlowRecord(fid, self._arrivals[fid], t, plane, hops))
 
     def run(self, flows) -> SimResult:
+        self._take(flows)
         self._arrivals = {i: f.arrival_s for i, f in enumerate(flows)}
         for i, f in enumerate(flows):
-            self.schedule(f.arrival_s, "arrival", (i, f))
+            self.schedule(f.arrival_s, "arrival", i)
         completed = True
         while self._heap:
             t, _, kind, payload = heapq.heappop(self._heap)
@@ -49,7 +52,7 @@ class EagerSimulator(simulator.Simulator):
                 break
             self._clock = t
             if kind == "arrival":
-                self._on_arrival(payload[0], payload[1], t)
+                self._on_arrival(payload, t)
             elif kind == "rotor_slot":
                 self.rotor.on_event(payload, t)
             elif kind == "cache_done":

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 import numpy as np
 
 from ocsnet.model import (
-    DemandMatrix, Flow, FlowClass, NetworkConfig, class_of, make_flow, validate,
+    DemandMatrix, Flow, FlowClass, FlowTable, NetworkConfig, class_of, make_flow, validate,
 )
 
 
@@ -123,6 +123,65 @@ class TestFlow:
     def test_make_flow_classifies(self):
         cfg = validate(base_config())
         assert make_flow(0, 1, 2e6, 0.0, cfg).flow_class is FlowClass.MEDIUM
+
+
+class TestFlowTable:
+    FLOWS = [Flow(0, 1, 100, 0.5, FlowClass.SMALL), Flow(2, 0, 7, 0.25, FlowClass.LARGE),
+             Flow(1, 3, 2.5, 0.0, FlowClass.MEDIUM)]
+
+    def test_of_keeps_rows_and_a_fractional_size_exact(self):
+        table = FlowTable.of(self.FLOWS)
+        assert len(table) == 3
+        assert list(table) == self.FLOWS
+        assert table.size_bits.tolist() == [100.0, 7.0, 2.5]
+        assert [table[i] for i in range(-3, 0)] == self.FLOWS
+        assert table.src.dtype == table.dst.dtype == np.int32
+        assert table.flow_class.tolist() == [0, 2, 1]
+
+    def test_columns_are_read_only(self):
+        table = FlowTable.of(self.FLOWS)
+        with pytest.raises(ValueError, match="read-only"):
+            table.dst[0] = table.src[0]
+        with pytest.raises(ValueError, match="read-only"):
+            table[:2].size_bits[1] = 0
+
+    def test_of_a_table_is_the_table(self):
+        table = FlowTable.of(self.FLOWS)
+        assert FlowTable.of(table) is table
+
+    def test_of_nothing_is_an_empty_table(self):
+        table = FlowTable.of([])
+        assert len(table) == 0 and list(table) == []
+        assert table.size_bits.dtype == np.int64
+
+    def test_slice_is_a_table(self):
+        table = FlowTable.of(self.FLOWS)
+        assert table[1:] == FlowTable.of(self.FLOWS[1:])
+        assert list(table[::-1]) == self.FLOWS[::-1]
+        assert len(table[5:]) == 0
+
+    def test_equality_compares_columns_and_dtypes(self):
+        ints = [Flow(0, 1, 100, 0.5, FlowClass.SMALL), Flow(2, 0, 7, 0.25, FlowClass.LARGE)]
+        table = FlowTable.of(ints)
+        assert table == FlowTable.of(list(ints))
+        assert table != FlowTable.of(ints[:1])
+        assert table != FlowTable.of([ints[0], Flow(2, 0, 7, 0.5, FlowClass.LARGE)])
+        as_floats = FlowTable(table.src, table.dst, table.size_bits.astype(float),
+                              table.arrival_s, table.flow_class)
+        assert list(as_floats) == ints and as_floats != table
+        assert table != ints
+
+    @pytest.mark.parametrize("columns, match", [
+        (([0, 1], [1, 1], [5, 5], [0.0, 0.0], [0, 0]), "coincide"),
+        (([0, 1], [1, 0], [5, 0], [0.0, 0.0], [0, 0]), "positive"),
+        (([0, 1], [1, 0], [5, -2.5], [0.0, 0.0], [0, 0]), "positive"),
+        (([0, 1], [1, 0], [5, 5], [0.0], [0, 0]), "equal length"),
+        (([0, 1], [1, 0], [5, 5], [0.0, 0.0], [0, 3]), "class codes"),
+        (([[0, 1]], [[1, 0]], [[5, 5]], [[0.0, 0.0]], [[0, 0]]), "1-D"),
+    ])
+    def test_checks_flow_invariants(self, columns, match):
+        with pytest.raises(ValueError, match=match):
+            FlowTable(*columns)
 
 
 class TestDemandMatrix:

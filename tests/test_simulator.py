@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ocsnet import simulator
+from ocsnet import model, simulator
 from ocsnet.analytics import dct_all_to_all_rotor, dct_rotor
 from ocsnet.distributions import FlowSizeDistribution
 from ocsnet.model import NetworkConfig, make_flow, validate
 from ocsnet.topology import build_expander
-from ocsnet.traffic import TrafficSpec, demand_matrix, generate, skewness_phi
+from ocsnet.traffic import (
+    TrafficSpec, demand_matrix, generate, skewness_phi, write_trace,
+)
 
 
 def cfg_of(n, k_s, k_r, k_c, **kw):
@@ -30,6 +32,26 @@ class TestRun:
                             delta=100e-6, R_r=10e-6, R_c=15e-3)
         with pytest.raises(ValueError, match="validate"):
             simulator.run(cfg, [])
+
+    def test_a_flow_table_needs_no_flow_objects(self, monkeypatch, tmp_path):
+        cfg = cfg_of(16, 2, 4, 4)
+        graph = build_expander(16, 2, 0)
+        spec = TrafficSpec("uniform", 0.3, window_s=0.01, distribution=(
+            FlowSizeDistribution.discrete((1e5, 4e6, 2e8), (0.4, 0.4, 0.2))))
+        want = generate(spec, cfg)
+        results = [run(cfg, want, expander=graph) for run in (simulator.run,
+                                                               simulator.run_batch)]
+
+        def no_flow(self):
+            raise AssertionError("a Flow was built")
+
+        monkeypatch.setattr(model.Flow, "__post_init__", no_flow)
+        flows = generate(spec, cfg)
+        assert flows == want and set(flows.flow_class.tolist()) == {0, 1, 2}
+        write_trace(flows, tmp_path / "trace.csv")
+        demand_matrix(flows, cfg.n, class_filter="medium")
+        for run, result in zip((simulator.run, simulator.run_batch), results):
+            assert run(cfg, flows, expander=graph) == result
 
     def test_determinism(self):
         cfg = cfg_of(16, 0, 8, 0, large_threshold_bits=math.inf)

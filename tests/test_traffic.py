@@ -1,3 +1,4 @@
+import csv
 import itertools
 import math
 
@@ -6,11 +7,66 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ocsnet.distributions import FlowSizeDistribution, default_mix
-from ocsnet.model import DemandMatrix, Flow, FlowClass, NetworkConfig, validate
+from ocsnet.model import DemandMatrix, Flow, FlowClass, FlowTable, NetworkConfig, validate
 from ocsnet.traffic import (
-    TrafficSpec, class_rates, demand_matrix, generate, read_trace,
+    TRACE_HEADER, TrafficSpec, class_rates, demand_matrix, generate, read_trace,
     skewness_phi, variation_distance, write_trace,
 )
+
+
+_CLASSES = np.array([FlowClass.SMALL, FlowClass.MEDIUM, FlowClass.LARGE], dtype=object)
+
+
+def oracle_generate(spec, config):
+    """The previous ``generate``: the same draws, one ``Flow`` per row."""
+    rng = np.random.default_rng(spec.seed)
+    n = config.n
+    dist = spec.distribution
+    mean_size = dist.mean_size()
+
+    if spec.model == "uniform":
+        sources = np.arange(n)
+        rate = spec.load_x * config.k * config.r
+        dest_pool = None
+    else:
+        n_active = math.ceil(spec.load_x * n)
+        sources = np.sort(rng.choice(n, size=n_active, replace=False))
+        rate = spec.per_tor_rate_L * config.k * config.r
+        dest_pool = sources
+
+    lam = rate / mean_size * spec.window_s
+    counts = rng.poisson(lam, size=len(sources))
+    total = int(counts.sum())
+    if total == 0:
+        return []
+
+    src = np.repeat(sources, counts)
+    arrivals = rng.uniform(0.0, spec.window_s, size=total)
+    sizes = dist.sample(rng, total)
+
+    if dest_pool is None:
+        offs = rng.integers(1, n, size=total)
+        dst = (src + offs) % n
+    else:
+        pos = np.searchsorted(dest_pool, src)
+        offs = rng.integers(1, len(dest_pool), size=total)
+        dst = dest_pool[(pos + offs) % len(dest_pool)]
+
+    order = np.argsort(arrivals, kind="stable")
+    sizes = sizes[order]
+    classes = _CLASSES[np.searchsorted(
+        (config.medium_threshold_bits, config.large_threshold_bits), sizes, side="right")]
+    return list(map(Flow, src[order].tolist(), dst[order].tolist(), sizes.tolist(),
+                    arrivals[order].tolist(), classes))
+
+
+def oracle_write_trace(flows, path):
+    """The previous ``write_trace``: one ``csv.writer`` row per flow."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TRACE_HEADER)
+        for f in flows:
+            writer.writerow([repr(f.arrival_s), f.src, f.dst, f.size_bits, f.flow_class.value])
 
 
 @pytest.fixture
@@ -22,7 +78,20 @@ def cfg():
 class TestGenerate:
     def test_zero_load_is_empty(self, cfg):
         spec = TrafficSpec("uniform", 0.0, default_mix())
-        assert generate(spec, cfg) == []
+        assert len(generate(spec, cfg)) == 0
+
+    @pytest.mark.parametrize("spec", [
+        TrafficSpec("uniform", 0.3, default_mix(), window_s=0.01, seed=11),
+        TrafficSpec("skewed", 0.25, default_mix(), per_tor_rate_L=0.7, window_s=0.01, seed=2),
+        TrafficSpec("uniform", 0.0, default_mix()),
+        TrafficSpec("skewed", 0.1, default_mix(), window_s=1e-9, seed=3),
+    ], ids=["uniform", "skewed", "zero-load", "empty-window"])
+    def test_rows_match_the_per_flow_build(self, cfg, spec):
+        flows = generate(spec, cfg)
+        want = oracle_generate(spec, cfg)
+        assert list(flows) == want
+        assert all(f.flow_class is w.flow_class for f, w in zip(flows, want))
+        assert (flows.src.dtype, flows.size_bits.dtype) == (np.int32, np.int64)
 
     def test_deterministic_per_seed(self, cfg):
         spec = TrafficSpec("uniform", 0.3, default_mix(), window_s=0.01, seed=11)
@@ -87,9 +156,9 @@ class TestGenerate:
     def test_demand_matrix_matches_the_per_flow_loop(self, cfg, class_filter):
         flows = generate(TrafficSpec("uniform", 0.2, default_mix(), window_s=0.01, seed=0), cfg)
         # sums that round differently if the flows are added out of order
-        flows += [Flow(1, 2, size, 0.0, cls) for size, cls in [
+        flows = FlowTable.of(list(flows) + [Flow(1, 2, size, 0.0, cls) for size, cls in [
             (2 ** 53, FlowClass.LARGE), (1, FlowClass.SMALL), (1, FlowClass.SMALL),
-            (1, FlowClass.LARGE), (2 ** 53, FlowClass.SMALL)]]
+            (1, FlowClass.LARGE), (2 ** 53, FlowClass.SMALL)]])
         expect = np.zeros((cfg.n, cfg.n))
         for f in flows:
             if class_filter is None or f.flow_class is FlowClass(class_filter):
@@ -221,8 +290,45 @@ class TestTraceIO:
         write_trace(flows, path)
         assert read_trace(path) == flows
 
+    @pytest.mark.parametrize("spec", [
+        TrafficSpec("uniform", 0.1, default_mix(), window_s=0.01, seed=0),
+        TrafficSpec("skewed", 0.3, default_mix(), window_s=0.01, seed=5),
+        TrafficSpec("uniform", 0.0, default_mix()),
+    ], ids=["uniform", "skewed", "empty"])
+    def test_bytes_match_the_csv_writer(self, cfg, tmp_path, spec):
+        flows = generate(spec, cfg)
+        write_trace(flows, tmp_path / "got.csv")
+        oracle_write_trace(flows, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert read_trace(tmp_path / "got.csv") == flows
+
+    def test_awkward_floats_match_the_csv_writer(self, tmp_path):
+        arrivals = [5e-324, 1e-05, 0.1 + 0.2, 1e16, 0.0, 123456789.125]
+        flows = [Flow(i, i + 1, 2 ** 40 + i, t, FlowClass.MEDIUM)
+                 for i, t in enumerate(arrivals)]
+        write_trace(FlowTable.of(flows), tmp_path / "got.csv")
+        oracle_write_trace(flows, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert list(read_trace(tmp_path / "got.csv")) == flows
+
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError, match="header"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("row, match", [
+        ("0.5,3,3,100,small", "coincide"),
+        ("0.5,3,4,0,small", "positive"),
+        ("0.5,3,4,-7,small", "positive"),
+        ("0.5,3,4,1.5,small", "invalid literal"),
+        ("0.5,3.0,4,100,small", "invalid literal"),
+        ("0.5,3,4,100,huge", "huge"),
+        ("0.5,3,4,100", "fields"),
+    ], ids=["self-loop", "zero-size", "negative-size", "fractional-size",
+            "fractional-src", "unknown-class", "short-row"])
+    def test_bad_row_rejected(self, tmp_path, row, match):
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(TRACE_HEADER) + "\n0.0,0,1,5,small\n" + row + "\n")
+        with pytest.raises(ValueError, match=match):
             read_trace(path)
