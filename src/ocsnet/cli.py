@@ -169,8 +169,8 @@ def simulate(config_path, profile, sweep, seeds, out_dir, horizon_s):
             result = simulator.run_batch(config, flows, seed=seed,
                                          expander=epl_graph, horizon_s=horizon_s)
             _write_csv(out_dir, f"flows_{tag}.csv", simulator.RESULT_HEADER,
-                       [[rec.flow_id, _fmt(rec.arrival_s), _fmt(rec.completion_s),
-                         rec.plane, rec.hops] for rec in result.records])
+                       ([rec.flow_id, _fmt(rec.arrival_s), _fmt(rec.completion_s),
+                         rec.plane, rec.hops] for rec in result.records))
             ana = _analytic_dct(config, spec.distribution, flows, x, epl) * spec.window_s
             rel = (result.dct_s - ana) / ana if ana > 0 else math.nan
             rows.append([_fmt(x), seed, _fmt(result.dct_s), _fmt(ana),

@@ -19,6 +19,9 @@ class FlowClass(str, Enum):
     LARGE = "large"
 
 
+FLOW_CLASSES = tuple(FlowClass)   # flow class codes index this
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """Leaf/spine network parameters plus the flow-class size thresholds.
@@ -110,19 +113,19 @@ def validate(config: NetworkConfig) -> NetworkConfig:
     return replace(c, medium_threshold_bits=medium, large_threshold_bits=large)
 
 
-def class_of(size_bits, config: NetworkConfig) -> FlowClass:
-    """Classify a flow size against the half-open intervals [|m|, |l|).
+def class_codes(size_bits, config: NetworkConfig):
+    """Class codes (into ``FLOW_CLASSES``) of the sizes ``size_bits``, by the
+    half-open intervals [|m|, |l|): a size exactly at a threshold is in the
+    upper class."""
+    return np.searchsorted((config.medium_threshold_bits, config.large_threshold_bits),
+                           size_bits, side="right")
 
-    A size exactly at the medium threshold is medium; a size exactly at
-    the large threshold is large.
-    """
+
+def class_of(size_bits, config: NetworkConfig) -> FlowClass:
+    """The class of one positive flow size, by ``class_codes``."""
     if size_bits <= 0:
         raise ValueError(f"flow size must be positive, got {size_bits}")
-    if size_bits < config.medium_threshold_bits:
-        return FlowClass.SMALL
-    if size_bits < config.large_threshold_bits:
-        return FlowClass.MEDIUM
-    return FlowClass.LARGE
+    return FLOW_CLASSES[class_codes(size_bits, config)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,46 +147,87 @@ def make_flow(src, dst, size_bits, arrival_s, config: NetworkConfig) -> Flow:
     return Flow(src, dst, int(size_bits), arrival_s, class_of(size_bits, config))
 
 
-FLOW_CLASSES = tuple(FlowClass)   # FlowTable.flow_class codes index this
-_COLUMN_DTYPES = {"src": np.int32, "dst": np.int32, "size_bits": None,
-                  "arrival_s": np.float64, "flow_class": np.int8}
+_ROWS_PER_READ = 1024
 
 
-@dataclass(frozen=True, eq=False)
-class FlowTable:
-    """Flows as columns: row i is flow i, and ``flow_class`` holds codes
-    into ``FLOW_CLASSES``.
-
-    ``size_bits`` is int64 as ``traffic.generate`` and ``read_trace`` make
-    it; ``of`` keeps whatever ``np.asarray`` makes of hand-built sizes, so
-    a fractional size stays exact. Rows hold ``Flow``'s invariant, and the
-    columns are made read-only so that they keep holding it: an array
-    passed in with its column's dtype is used, not copied, and is frozen.
+class Table:
+    """Read-only columns of equal length, read as ``_row``s: an int index
+    gives a row, a slice the same table type. A subclass names its columns
+    in ``_row``'s field order, with their dtypes, in ``_dtypes`` (None keeps
+    what ``np.asarray`` makes), and its code column in ``_code = (column,
+    the values its codes index)``. An array passed in with its column's
+    dtype is used, not copied.
     """
 
-    src: np.ndarray
-    dst: np.ndarray
-    size_bits: np.ndarray
-    arrival_s: np.ndarray
-    flow_class: np.ndarray
-
-    def __post_init__(self):
-        for name, dtype in _COLUMN_DTYPES.items():
-            column = np.asarray(getattr(self, name), dtype)
+    def __init__(self, *columns):
+        for (name, dtype), column in zip(self._dtypes.items(), columns, strict=True):
+            column = np.asarray(column, dtype)
             column.flags.writeable = False
             object.__setattr__(self, name, column)
         columns = self._columns()
-        if any(c.ndim != 1 or c.size != self.src.size for c in columns):
-            raise ValueError("flow columns must be 1-D and of equal length, got shapes "
+        if any(c.ndim != 1 or c.size != columns[0].size for c in columns):
+            raise ValueError("columns must be 1-D and of equal length, got shapes "
                              + ", ".join(str(c.shape) for c in columns))
+        name, values = self._code
+        codes = getattr(self, name)
+        if ((codes < 0) | (codes >= len(values))).any():
+            raise ValueError(f"{name} codes must lie in [0, {len(values)})")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def _columns(self):
+        return tuple(getattr(self, name) for name in self._dtypes)
+
+    def __len__(self):
+        return len(self._columns()[0])
+
+    def __iter__(self):
+        """Build the rows a chunk at a time, as they are read, so that a pass
+        over a large table holds one chunk of Python values, not a list per
+        column."""
+        name, values = self._code
+        for start in range(0, len(self), _ROWS_PER_READ):
+            chunk = {c: getattr(self, c)[start:start + _ROWS_PER_READ].tolist()
+                     for c in self._dtypes}
+            chunk[name] = map(values.__getitem__, chunk[name])
+            yield from map(self._row, *chunk.values())
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return type(self)(*(c[index] for c in self._columns()))
+        i = range(len(self))[index]
+        return next(iter(self[i:i + 1]))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(a.dtype == b.dtype and np.array_equal(a, b)
+                   for a, b in zip(self._columns(), other._columns()))
+
+
+class FlowTable(Table):
+    """Flows as columns: row i is flow i as a ``Flow``, and ``flow_class``
+    holds codes into ``FLOW_CLASSES``. Rows hold ``Flow``'s invariant.
+
+    ``size_bits`` is int64 as ``traffic.generate`` and ``read_trace`` make
+    it; ``of`` keeps whatever ``np.asarray`` makes of hand-built sizes, so
+    a fractional size stays exact.
+    """
+
+    _row = Flow
+    _dtypes = {"src": np.int32, "dst": np.int32, "size_bits": None,
+               "arrival_s": np.float64, "flow_class": np.int8}
+    _code = ("flow_class", FLOW_CLASSES)
+
+    def __init__(self, *columns):
+        super().__init__(*columns)
         if (self.src == self.dst).any():
             i = int(np.argmax(self.src == self.dst))
             raise ValueError(f"flow source and destination coincide ({self.src[i]})")
         if (self.size_bits <= 0).any():
             i = int(np.argmax(self.size_bits <= 0))
             raise ValueError(f"flow size must be positive, got {self.size_bits[i]}")
-        if ((self.flow_class < 0) | (self.flow_class >= len(FLOW_CLASSES))).any():
-            raise ValueError(f"flow class codes must lie in [0, {len(FLOW_CLASSES)})")
 
     @classmethod
     def of(cls, flows) -> FlowTable:
@@ -195,29 +239,6 @@ class FlowTable:
         return cls([f.src for f in flows], [f.dst for f in flows], sizes,
                    [f.arrival_s for f in flows],
                    [FLOW_CLASSES.index(f.flow_class) for f in flows])
-
-    def _columns(self):
-        return (self.src, self.dst, self.size_bits, self.arrival_s, self.flow_class)
-
-    def __len__(self):
-        return self.src.size
-
-    def __iter__(self):
-        return map(Flow, self.src.tolist(), self.dst.tolist(), self.size_bits.tolist(),
-                   self.arrival_s.tolist(), map(FLOW_CLASSES.__getitem__,
-                                                self.flow_class.tolist()))
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return FlowTable(*(c[index] for c in self._columns()))
-        src, dst, size, arrival, code = (c[index].item() for c in self._columns())
-        return Flow(src, dst, size, arrival, FLOW_CLASSES[code])
-
-    def __eq__(self, other):
-        if not isinstance(other, FlowTable):
-            return NotImplemented
-        return all(a.dtype == b.dtype and np.array_equal(a, b)
-                   for a, b in zip(self._columns(), other._columns()))
 
 
 @dataclass(frozen=True)

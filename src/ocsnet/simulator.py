@@ -31,12 +31,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import FLOW_CLASSES, FlowTable, NetworkConfig
+from .model import FLOW_CLASSES, FlowTable, NetworkConfig, Table
 from .topology import ExpanderGraph, build_expander
 
 _TOL = 1e-6  # bits
 
 RESULT_HEADER = ["flow_id", "arrival_s", "completion_s", "plane", "hops"]
+PLANES = ("rotor", "cache", "expander")   # Records.plane codes index this
+_ROTOR, _CACHE, _EXPANDER = range(len(PLANES))
 
 
 class FlowRecord(NamedTuple):
@@ -47,10 +49,19 @@ class FlowRecord(NamedTuple):
     hops: int
 
 
+class Records(Table):
+    """The completed flows in flow-id order; ``plane`` codes index ``PLANES``."""
+
+    _row = FlowRecord
+    _dtypes = {"flow_id": np.int64, "arrival_s": np.float64, "completion_s": np.float64,
+               "plane": np.int8, "hops": np.int32}
+    _code = ("plane", PLANES)
+
+
 @dataclass(frozen=True)
 class SimResult:
     dct_s: float
-    records: tuple
+    records: Records
     spill_count: int
     completed: bool
     injected_bits: float
@@ -281,8 +292,7 @@ class _RotorPlane:
         ready = np.flatnonzero(delivered + _TOL >= self.next_target)
         while ready.size:
             f = self.head[ready]
-            for fid, relayed in zip(self.log_fid[f].tolist(), used[ready].tolist()):
-                self.sim.record(fid, t_end, "rotor", 2 if relayed else 1)
+            self.sim.record(self.log_fid[f], t_end, _ROTOR, used[ready] + 1)
             nxt = self.log_next[f]
             self.head[ready] = nxt
             self.next_target[ready] = np.where(nxt >= 0, self.log_target[nxt], np.inf)
@@ -347,7 +357,7 @@ class _CachePlane:
         self.residual -= size
         self.sim.delivered_bits += size
         self.sim.plane_bits["cache"] += size
-        self.sim.record(fid, now, "cache", 1)
+        self.sim.record(fid, now, _CACHE, 1)
         self.free_src[s].add(src)
         self.free_dst[s].add(dst)
         self.n_free_src[src] += 1
@@ -548,7 +558,7 @@ class _ExpanderPlane:
                 self.residual -= st[0]   # tiny float remainder
                 self.sim.delivered_bits += st[0]
                 self.sim.plane_bits["expander"] += st[0]
-                self.sim.record(fid, now, "expander", len(st[2]))
+                self.sim.record(fid, now, _EXPANDER, len(st[2]))
         if not self.flows:
             return
         _max_min_fill(self.flows, self.on_edge, self.capacity, edges)
@@ -609,7 +619,10 @@ class Simulator:
         heapq.heappush(self._heap, (t, seq, kind, payload))
 
     def record(self, fid, t, plane, hops):
-        self.records[fid] = FlowRecord(fid, self._arrivals[fid], t, plane, hops)
+        """Flow ``fid`` (or each of an array of ids) completed at ``t``."""
+        self._completion_s[fid] = t
+        self._plane[fid] = plane
+        self._hops[fid] = hops
 
     def run(self, flows, *, batch=False) -> SimResult:
         """Serve ``flows`` (a ``FlowTable`` or ``Flow`` objects) until all
@@ -624,19 +637,17 @@ class Simulator:
         flows = self._take(flows)
         n = len(flows)
         if batch:
-            self._arrivals = [0.0] * n
-            order = iter(range(n))
+            order = ((i, 0.0) for i in range(n))
         else:
-            self._arrivals = flows.arrival_s.tolist()
             # stable, as sorted(range(n), key=...) is
-            order = iter(np.argsort(flows.arrival_s, kind="stable").tolist())
+            i = np.argsort(flows.arrival_s, kind="stable")
+            order = zip(i.tolist(), flows.arrival_s[i].tolist())
         self._seq = n
-        self.records = [None] * n
 
         def schedule_next_arrival():
-            i = next(order, None)
+            i, t = next(order, (None, None))
             if i is not None:
-                self.schedule(self._arrivals[i], "arrival", i)
+                self.schedule(t, "arrival", i)
 
         schedule_next_arrival()
         completed = True
@@ -653,10 +664,11 @@ class Simulator:
                 self._plane_of_event[kind].on_event(payload, t)
             if self.audit:
                 self._check_conservation()
-        records = tuple(filter(None, self.records))
-        dct = max((rec.completion_s for rec in records), default=0.0)
+        done = np.flatnonzero(self._plane >= 0)
+        records = Records(done, np.broadcast_to(0.0 if batch else flows.arrival_s, n)[done],
+                          self._completion_s[done], self._plane[done], self._hops[done])
         return SimResult(
-            dct_s=dct,
+            dct_s=float(records.completion_s.max(initial=0.0)),
             records=records,
             spill_count=self.spill_count,
             completed=completed and len(records) == n,
@@ -666,10 +678,22 @@ class Simulator:
         )
 
     def _take(self, flows) -> FlowTable:
-        """Hold the columns ``_on_arrival`` reads, one list each."""
+        """Hold the columns ``_on_arrival`` reads, one list each, and those
+        ``record`` fills; reject flows the expander takes but cannot route."""
         flows = FlowTable.of(flows)
         self._src, self._dst, self._size, self._code = (
             c.tolist() for c in (flows.src, flows.dst, flows.size_bits, flows.flow_class))
+        self._completion_s = np.zeros(len(flows))
+        self._plane = np.full(len(flows), -1, np.int8)   # -1 until the flow completes
+        self._hops = np.zeros(len(flows), np.int32)
+        if self.expander is not None:   # large flows spilled here are checked when sampled
+            codes = [c for c, plane in enumerate(self._plane_of) if plane is self.expander]
+            routed = np.isin(flows.flow_class, codes)
+            src, dst = flows.src[routed], flows.dst[routed]
+            cut = np.isinf(self.expander.dist[src, dst])
+            if cut.any():
+                i = int(np.argmax(cut))
+                raise ValueError(f"no path from {src[i]} to {dst[i]} on the expander")
         return flows
 
     def _on_arrival(self, fid, t):

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import FlowSizeDistribution
-from .model import FLOW_CLASSES, DemandMatrix, FlowClass, FlowTable, NetworkConfig
+from .model import (
+    FLOW_CLASSES, DemandMatrix, FlowClass, FlowTable, NetworkConfig, class_codes,
+)
 
 TRACE_HEADER = ["arrival_s", "src", "dst", "size_bits", "class"]
 _CODE_OF_VALUE = {c.value: code for code, c in enumerate(FLOW_CLASSES)}
@@ -108,10 +110,8 @@ def generate(spec: TrafficSpec, config: NetworkConfig) -> FlowTable:
 
     order = np.argsort(arrivals, kind="stable")
     sizes = sizes[order]
-    # class_of's half-open intervals: a size at a threshold is in the upper class
-    codes = np.searchsorted(
-        (config.medium_threshold_bits, config.large_threshold_bits), sizes, side="right")
-    return FlowTable(src[order], dst[order], sizes, arrivals[order], codes)
+    return FlowTable(src[order], dst[order], sizes, arrivals[order],
+                     class_codes(sizes, config))
 
 
 def demand_matrix(flows, n, class_filter=None) -> DemandMatrix:

@@ -49,7 +49,7 @@ class OracleCachePlane(simulator._CachePlane):
         self.residual -= size
         self.sim.delivered_bits += size
         self.sim.plane_bits["cache"] += size
-        self.sim.record(fid, now, "cache", 1)
+        self.sim.record(fid, now, simulator.PLANES.index("cache"), 1)
         self.free_src[s].add(src)
         self.free_dst[s].add(dst)
         self._refill(s, now)

@@ -2,12 +2,13 @@
 
 ``EagerSimulator`` is the previous ``Simulator`` event loop, kept verbatim
 apart from being a subclass: every arrival pushed onto the heap before the
-first event, arrival times in a dict, records appended and sorted at the
-end. Its rotor-slot branch no longer overwrites ``delivered_bits`` with
-``injected_bits`` less the residual, because the rotor plane now counts its
-deliveries itself, and its rotor-slot and cache-done branches call the
-planes' common ``on_event``. It loads the flow columns with ``_take`` and
-hands ``_on_arrival`` the flow index, as the current loop does.
+first event. Its rotor-slot branch no longer overwrites ``delivered_bits``
+with ``injected_bits`` less the residual, because the rotor plane now
+counts its deliveries itself, and its rotor-slot and cache-done branches
+call the planes' common ``on_event``. It loads the flow columns with
+``_take`` and hands ``_on_arrival`` the flow index, and the planes write
+its records into the simulator's record columns, as in the current loop;
+it reads them back with each flow's own arrival time.
 ``oracle_run_batch`` is the previous ``run_batch``, which copied every flow
 with its arrival reset to zero. The planes are shared, so records,
 completion time and bit counts must agree exactly.
@@ -22,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from ocsnet import simulator
 from ocsnet.model import NetworkConfig, make_flow, validate
-from ocsnet.simulator import FlowRecord, SimResult
+from ocsnet.simulator import SimResult
 from ocsnet.topology import build_expander
 
 
@@ -30,18 +31,13 @@ class EagerSimulator(simulator.Simulator):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._seq = 0
-        self.records = []
 
     def schedule(self, t, kind, payload):
         heapq.heappush(self._heap, (t, self._seq, kind, payload))
         self._seq += 1
 
-    def record(self, fid, t, plane, hops):
-        self.records.append(FlowRecord(fid, self._arrivals[fid], t, plane, hops))
-
     def run(self, flows) -> SimResult:
         self._take(flows)
-        self._arrivals = {i: f.arrival_s for i, f in enumerate(flows)}
         for i, f in enumerate(flows):
             self.schedule(f.arrival_s, "arrival", i)
         completed = True
@@ -61,12 +57,16 @@ class EagerSimulator(simulator.Simulator):
                 self.expander.on_event(payload, t)
             if self.audit:
                 self._check_conservation()
-        dct = max((rec.completion_s for rec in self.records), default=0.0)
+        done = np.flatnonzero(self._plane >= 0)
+        records = simulator.Records(
+            done, np.array([f.arrival_s for f in flows], float)[done],
+            self._completion_s[done], self._plane[done], self._hops[done])
+        dct = max(records.completion_s.tolist(), default=0.0)
         return SimResult(
             dct_s=dct,
-            records=tuple(sorted(self.records, key=lambda rec: rec.flow_id)),
+            records=records,
             spill_count=self.spill_count,
-            completed=completed and len(self.records) == len(flows),
+            completed=completed and len(records) == len(flows),
             injected_bits=self.injected_bits,
             delivered_bits=self.delivered_bits,
             plane_bits=dict(self.plane_bits),

@@ -276,7 +276,7 @@ class _SimStub:
         self.events.append((t, kind, payload))
 
     def record(self, fid, t, plane, hops):
-        self.records[fid] = (t, plane, hops)
+        self.records[fid] = (t, simulator.PLANES[plane], hops)
 
 
 def _driven_plane(n, k_s, graph_seed, rng_seed):

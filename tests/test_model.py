@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 import numpy as np
 
 from ocsnet.model import (
-    DemandMatrix, Flow, FlowClass, FlowTable, NetworkConfig, class_of, make_flow, validate,
+    FLOW_CLASSES, DemandMatrix, Flow, FlowClass, FlowTable, NetworkConfig, class_codes,
+    class_of, make_flow, validate,
 )
 
 
@@ -91,6 +92,17 @@ class TestClassOf:
     def test_boundary_at_large_is_large(self):
         cfg = validate(base_config(large_threshold_bits=1e9))
         assert class_of(1e9, cfg) is FlowClass.LARGE  # 125 MB at the 125 MB cut
+
+    def test_one_bit_below_a_threshold_is_the_lower_class(self):
+        cfg = validate(base_config(large_threshold_bits=1e9))
+        assert class_of(1e6 - 1, cfg) is FlowClass.SMALL
+        assert class_of(1e9 - 1, cfg) is FlowClass.MEDIUM
+
+    def test_codes_of_many_sizes_are_the_classes_of_each(self):
+        cfg = validate(base_config(large_threshold_bits=1e9))
+        sizes = [1, 1e6 - 1, 1e6, 1e9 - 1, 1e9, 3e9]
+        assert [FLOW_CLASSES[c] for c in class_codes(np.array(sizes), cfg)] == [
+            class_of(size, cfg) for size in sizes]
 
     def test_nonpositive_size_rejected(self):
         cfg = validate(base_config())

@@ -189,7 +189,7 @@ class OracleRotorPlane:
             while dq and got >= dq[0][1]:
                 fid, _ = dq.popleft()
                 hops = 2 if self.pair_used_relay[src, dst] else 1
-                self.sim.record(fid, t_end, "rotor", hops)
+                self.sim.record(fid, t_end, simulator.PLANES.index("rotor"), hops)
             self.next_target[src, dst] = dq[0][1] if dq else np.inf
 
 

@@ -1,10 +1,14 @@
+import gc
 import math
+import tracemalloc
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ocsnet import model, simulator
+from ocsnet import config_io, model, simulator
 from ocsnet.analytics import dct_all_to_all_rotor, dct_rotor
 from ocsnet.distributions import FlowSizeDistribution
 from ocsnet.model import NetworkConfig, make_flow, validate
@@ -12,6 +16,9 @@ from ocsnet.topology import build_expander
 from ocsnet.traffic import (
     TrafficSpec, demand_matrix, generate, skewness_phi, write_trace,
 )
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
 
 
 def cfg_of(n, k_s, k_r, k_c, **kw):
@@ -80,7 +87,27 @@ class TestRun:
         cfg = cfg_of(8, 0, 0, 1)
         flow = make_flow(0, 1, 8e9, 0.0, cfg)  # needs R_c + 0.8 s
         res = simulator.run(cfg, [flow], horizon_s=0.1)
-        assert not res.completed and res.records == ()
+        assert not res.completed and len(res.records) == 0
+
+    def test_a_run_cut_by_the_horizon_keeps_the_completed_flows(self):
+        # the network and grid point CI runs through ``ocsnet simulate``
+        mapping = config_io.load_config(overrides={
+            "network.n": 16, "network.k_s": 2, "network.k_r": 4, "network.k_c": 4,
+            "traffic.window_s": 2e-3, "traffic.load_x": 0.3})
+        cfg, spec = config_io.network_config(mapping), config_io.traffic_spec(mapping, seed=0)
+        flows = generate(spec, cfg)
+        res = simulator.run_batch(cfg, flows, seed=0, expander=build_expander(16, 2, 0),
+                                  horizon_s=2e-3)
+        recs = res.records
+        assert len(flows) == 603 and len(recs) == 579 and not res.completed
+        assert (np.diff(recs.flow_id) > 0).all()
+        assert recs.completion_s.max() <= 2e-3 and res.dct_s == max(recs.completion_s)
+        rows = list(recs)
+        assert rows[-1] == recs[-1] == simulator.FlowRecord(*rows[-1])
+        # a cache circuit takes R_c = 15 ms to set up
+        assert {rec.plane for rec in rows} == {"rotor", "expander"}
+        assert list(recs[:-1]) == rows[:-1] and len(recs[:-1]) == 578
+        assert recs[:-1] == recs[:-1] and recs[:-1] != recs and recs != rows
 
     @pytest.mark.parametrize("horizon", [math.nan, -1.0])
     def test_nan_or_negative_horizon_rejected(self, horizon):
@@ -335,6 +362,26 @@ class TestExpanderPlane:
         with pytest.raises(ValueError, match="expander has"):
             simulator.run(cfg, flows, expander=build_expander(n, degree, seed=0))
 
+    def test_unroutable_flow_is_rejected_before_the_first_event(self, monkeypatch):
+        # the degree-1 expander on 16 nodes from seed 0 has no path from 0 to 3
+        cfg = cfg_of(16, 1, 1, 0)
+        graph = build_expander(16, 1, seed=0)
+        assert np.isinf(graph.distances()[0, 3])
+        flows = [make_flow(0, 1, 2 * cfg.medium_threshold_bits, 0.0, cfg),
+                 make_flow(0, 3, 1e5, 1e-3, cfg)]
+        counts = _count_events(monkeypatch)
+        with pytest.raises(ValueError, match="no path from 0 to 3 on the expander"):
+            simulator.run(cfg, flows, expander=graph)
+        assert not counts
+
+    def test_large_flow_spilled_to_the_expander_is_routed_on_arrival(self, monkeypatch):
+        cfg = cfg_of(16, 1, 0, 0)
+        flows = [make_flow(0, 3, 2 * cfg.large_threshold_bits, 1e-3, cfg)]
+        counts = _count_events(monkeypatch)
+        with pytest.raises(ValueError, match="no path from 0 to 3 on the expander"):
+            simulator.run(cfg, flows, expander=build_expander(16, 1, seed=0))
+        assert counts == {"arrival": 1}
+
     def test_small_flows_fall_back_to_rotor_without_static_switches(self):
         cfg = cfg_of(8, 0, 4, 0)
         res = simulator.run(cfg, [make_flow(0, 1, 1e5, 0.0, cfg)])
@@ -348,6 +395,38 @@ class TestExpanderPlane:
         res = simulator.run(cfg, flows, seed=1)
         assert {rec.plane for rec in res.records} == {"expander"}
         assert res.completed
+
+
+def _count_events(monkeypatch):
+    """Count the events ``Simulator.schedule`` queues, by kind."""
+    counts, schedule = Counter(), simulator.Simulator.schedule
+
+    def counted(self, t, kind, payload):
+        counts[kind] += 1
+        return schedule(self, t, kind, payload)
+
+    monkeypatch.setattr(simulator.Simulator, "schedule", counted)
+    return counts
+
+
+def test_records_hold_at_most_50_bytes_per_flow():
+    # hybrid-batch's network and mix at a 0.1 s window: 31,526 flows
+    mapping = config_io.load_config(WORKLOADS / "hybrid-batch.conf",
+                                    overrides={"traffic.window_s": 0.1})
+    cfg, spec = config_io.network_config(mapping), config_io.traffic_spec(mapping)
+    flows = generate(spec, cfg)
+    graph = build_expander(cfg.n, cfg.k_s, 0)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        res = simulator.run_batch(cfg, flows, seed=spec.seed, expander=graph)
+        gc.collect()   # the planes and their simulator refer to each other
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(flows) == 31526 and res.completed
+    assert held / len(flows) <= 50
 
 
 class TestProperties:

@@ -131,10 +131,12 @@ class TestGenerate:
             generate(spec, cfg)
 
     def test_classes_match_thresholds(self, cfg):
-        # the default mix, then every flow exactly at the medium or the large threshold
+        # the default mix, then every flow exactly at, or one bit below, the
+        # medium or the large threshold
         cases = [(default_mix(), None)] + [
             (FlowSizeDistribution.point(size), size)
-            for size in (cfg.medium_threshold_bits, cfg.large_threshold_bits)]
+            for cut in (cfg.medium_threshold_bits, cfg.large_threshold_bits)
+            for size in (cut - 1, cut)]
         for dist, at in cases:
             flows = generate(TrafficSpec("uniform", 0.2, dist, window_s=0.01, seed=0), cfg)
             assert flows
