@@ -6,8 +6,6 @@ from .model import (
     FlowClass,
     FlowTable,
     NetworkConfig,
-    class_of,
-    make_flow,
     validate,
 )
 from .distributions import FlowSizeDistribution, default_mix
@@ -47,11 +45,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalyticsReport", "ClassRates", "DemandMatrix", "ExpanderGraph", "Flow",
     "FlowClass", "FlowSizeDistribution", "FlowTable", "NetworkConfig", "SimResult",
-    "TrafficSpec", "build_expander", "cache_capacity_z", "class_of", "class_rates",
+    "TrafficSpec", "build_expander", "cache_capacity_z", "class_rates",
     "dct_all_to_all_rotor", "dct_cache", "dct_expander", "dct_hybrid_uniform",
     "dct_rotor", "default_mix", "demand_matrix", "expected_path_length",
-    "generate", "large_flow_threshold", "make_flow",
-    "mean_expected_path_length", "optimal_split", "report", "run",
-    "run_batch", "skewness_phi", "spill_fraction", "throughput_star",
+    "generate", "large_flow_threshold", "mean_expected_path_length", "optimal_split",
+    "report", "run", "run_batch", "skewness_phi", "spill_fraction", "throughput_star",
     "validate", "variation_distance",
 ]

@@ -44,10 +44,10 @@ class FlowSizeDistribution:
         probs = tuple(float(p) for p in probs)
         if len(sizes) != len(probs) or not sizes:
             raise ValueError("sizes and probs must be nonempty and of equal length")
-        if any(s <= 0 for s in sizes):
-            raise ValueError("all sizes must be positive")
-        if any(p < 0 for p in probs):
-            raise ValueError("probabilities must be nonnegative")
+        if not all(0 < s < math.inf for s in sizes):
+            raise ValueError(f"all sizes must be positive and finite, got {sizes}")
+        if not all(0 <= p <= 1 for p in probs):
+            raise ValueError(f"probabilities must lie in [0, 1], got {probs}")
         if abs(sum(probs) - 1.0) > _PROB_TOL:
             raise ValueError(f"probabilities must sum to 1, got {sum(probs)}")
         order = np.argsort(sizes)
@@ -70,6 +70,8 @@ class FlowSizeDistribution:
         """Two-point mixture specified by the byte share of ``size_a``."""
         if not 0.0 <= byte_frac_a <= 1.0:
             raise ValueError("byte fraction must lie in [0, 1]")
+        if not (size_a > 0 and size_b > 0):   # they divide below
+            raise ValueError(f"all sizes must be positive and finite, got {size_a, size_b}")
         # byte share b = p*s_a / (p*s_a + (1-p)*s_b), solved for p
         w_a = byte_frac_a / size_a
         w_b = (1.0 - byte_frac_a) / size_b
@@ -77,14 +79,14 @@ class FlowSizeDistribution:
 
     @classmethod
     def log_uniform(cls, lower, upper):
-        if not 0 < lower < upper:
-            raise ValueError("log-uniform needs 0 < lower < upper")
+        if not 0 < lower < upper < math.inf:
+            raise ValueError(f"log-uniform needs 0 < lower < upper < inf, got {lower, upper}")
         return cls(kind="log-uniform", lower=float(lower), upper=float(upper))
 
     @classmethod
     def pareto(cls, shape, lower):
-        if shape <= 0 or lower <= 0:
-            raise ValueError("pareto needs shape > 0 and lower > 0")
+        if not (0 < shape < math.inf and 0 < lower < math.inf):
+            raise ValueError(f"pareto needs finite shape, lower > 0, got {shape, lower}")
         return cls(kind="pareto", shape=float(shape), lower=float(lower))
 
     @classmethod

@@ -9,6 +9,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -121,30 +122,14 @@ def class_codes(size_bits, config: NetworkConfig):
                            size_bits, side="right")
 
 
-def class_of(size_bits, config: NetworkConfig) -> FlowClass:
-    """The class of one positive flow size, by ``class_codes``."""
-    if size_bits <= 0:
-        raise ValueError(f"flow size must be positive, got {size_bits}")
-    return FLOW_CLASSES[class_codes(size_bits, config)]
+class Flow(NamedTuple):
+    """One row of a ``FlowTable``."""
 
-
-@dataclass(frozen=True, slots=True)
-class Flow:
     src: int
     dst: int
     size_bits: int
     arrival_s: float
     flow_class: FlowClass
-
-    def __post_init__(self):
-        if self.src == self.dst:
-            raise ValueError(f"flow source and destination coincide ({self.src})")
-        if self.size_bits <= 0:
-            raise ValueError(f"flow size must be positive, got {self.size_bits}")
-
-
-def make_flow(src, dst, size_bits, arrival_s, config: NetworkConfig) -> Flow:
-    return Flow(src, dst, int(size_bits), arrival_s, class_of(size_bits, config))
 
 
 _ROWS_PER_READ = 1024
@@ -186,18 +171,20 @@ class Table:
         """Build the rows a chunk at a time, as they are read, so that a pass
         over a large table holds one chunk of Python values, not a list per
         column."""
-        name, values = self._code
         for start in range(0, len(self), _ROWS_PER_READ):
-            chunk = {c: getattr(self, c)[start:start + _ROWS_PER_READ].tolist()
-                     for c in self._dtypes}
-            chunk[name] = map(values.__getitem__, chunk[name])
-            yield from map(self._row, *chunk.values())
+            yield from self._rows(slice(start, start + _ROWS_PER_READ))
+
+    def _rows(self, index):
+        name, values = self._code
+        chunk = {c: getattr(self, c)[index].tolist() for c in self._dtypes}
+        chunk[name] = map(values.__getitem__, chunk[name])
+        return map(self._row, *chunk.values())
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return type(self)(*(c[index] for c in self._columns()))
         i = range(len(self))[index]
-        return next(iter(self[i:i + 1]))
+        return next(self._rows(slice(i, i + 1)))
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -208,11 +195,13 @@ class Table:
 
 class FlowTable(Table):
     """Flows as columns: row i is flow i as a ``Flow``, and ``flow_class``
-    holds codes into ``FLOW_CLASSES``. Rows hold ``Flow``'s invariant.
+    holds codes into ``FLOW_CLASSES``. ToR ids are >= 0, a flow's source
+    and destination differ, sizes are finite and positive, and arrivals
+    finite and >= 0.
 
     ``size_bits`` is int64 as ``traffic.generate`` and ``read_trace`` make
-    it; ``of`` keeps whatever ``np.asarray`` makes of hand-built sizes, so
-    a fractional size stays exact.
+    it; other sizes keep whatever ``np.asarray`` makes of them, so a
+    fractional size stays exact.
     """
 
     _row = Flow
@@ -222,23 +211,18 @@ class FlowTable(Table):
 
     def __init__(self, *columns):
         super().__init__(*columns)
-        if (self.src == self.dst).any():
-            i = int(np.argmax(self.src == self.dst))
-            raise ValueError(f"flow source and destination coincide ({self.src[i]})")
-        if (self.size_bits <= 0).any():
-            i = int(np.argmax(self.size_bits <= 0))
-            raise ValueError(f"flow size must be positive, got {self.size_bits[i]}")
+        self._require(np.minimum(self.src, self.dst) >= 0, "ToR ids must be >= 0")
+        self._require(self.src != self.dst, "source and destination coincide")
+        self._require((self.size_bits > 0) & (self.size_bits < np.inf),
+                      "size must be positive and finite")
+        self._require((self.arrival_s >= 0) & (self.arrival_s < np.inf),
+                      "arrival must be finite and >= 0")
 
-    @classmethod
-    def of(cls, flows) -> FlowTable:
-        """``flows`` itself if it is a table, else a table of its ``Flow`` rows."""
-        if isinstance(flows, cls):
-            return flows
-        flows = list(flows)
-        sizes = np.asarray([f.size_bits for f in flows]) if flows else np.zeros(0, np.int64)
-        return cls([f.src for f in flows], [f.dst for f in flows], sizes,
-                   [f.arrival_s for f in flows],
-                   [FLOW_CLASSES.index(f.flow_class) for f in flows])
+    def _require(self, ok, what):
+        """Raise ValueError naming the first flow for which ``ok`` is false."""
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise ValueError(f"flow {i}: {what}, got {self[i]}")
 
 
 @dataclass(frozen=True)

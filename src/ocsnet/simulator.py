@@ -575,6 +575,7 @@ class Simulator:
             raise ValueError(f"unknown cache policy {cache_policy!r}")
         if horizon_s is not None and not horizon_s >= 0:   # also rejects nan
             raise ValueError(f"horizon_s must be >= 0 seconds, got {horizon_s}")
+        self._n = config.n
         self.horizon_s = horizon_s
         self.audit = audit
         self.rng = np.random.default_rng(seed)
@@ -624,9 +625,8 @@ class Simulator:
         self._plane[fid] = plane
         self._hops[fid] = hops
 
-    def run(self, flows, *, batch=False) -> SimResult:
-        """Serve ``flows`` (a ``FlowTable`` or ``Flow`` objects) until all
-        complete or the horizon passes.
+    def run(self, flows: FlowTable, *, batch=False) -> SimResult:
+        """Serve ``flows`` until all complete or the horizon passes.
 
         ``batch`` serves every flow as arriving at 0.0. Arrivals enter the
         heap one at a time in ``(arrival_s, index)`` order, the next one
@@ -634,7 +634,7 @@ class Simulator:
         flows in flight, and events pop in the same order as if every
         arrival had been pushed up front.
         """
-        flows = self._take(flows)
+        self._take(flows)
         n = len(flows)
         if batch:
             order = ((i, 0.0) for i in range(n))
@@ -677,10 +677,12 @@ class Simulator:
             plane_bits=dict(self.plane_bits),
         )
 
-    def _take(self, flows) -> FlowTable:
+    def _take(self, flows: FlowTable):
         """Hold the columns ``_on_arrival`` reads, one list each, and those
-        ``record`` fills; reject flows the expander takes but cannot route."""
-        flows = FlowTable.of(flows)
+        ``record`` fills; reject flows with a ToR id outside the network, and
+        those the expander takes but cannot route."""
+        flows._require(np.maximum(flows.src, flows.dst) < self._n,
+                       f"ToR ids must be < n = {self._n}")
         self._src, self._dst, self._size, self._code = (
             c.tolist() for c in (flows.src, flows.dst, flows.size_bits, flows.flow_class))
         self._completion_s = np.zeros(len(flows))
@@ -694,7 +696,6 @@ class Simulator:
             if cut.any():
                 i = int(np.argmax(cut))
                 raise ValueError(f"no path from {src[i]} to {dst[i]} on the expander")
-        return flows
 
     def _on_arrival(self, fid, t):
         size = self._size[fid]
@@ -721,12 +722,12 @@ class Simulator:
             )
 
 
-def run(config: NetworkConfig, flows, **kwargs) -> SimResult:
+def run(config: NetworkConfig, flows: FlowTable, **kwargs) -> SimResult:
     """Simulate one flow trace to completion; deterministic per (config, flows, seed)."""
     return Simulator(config, **kwargs).run(flows)
 
 
-def run_batch(config: NetworkConfig, flows, **kwargs) -> SimResult:
+def run_batch(config: NetworkConfig, flows: FlowTable, **kwargs) -> SimResult:
     """Serve the accumulated demand matrix: every flow arrives at time zero.
 
     This matches the completion-time metric, which clocks the time to

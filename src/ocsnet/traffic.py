@@ -114,13 +114,13 @@ def generate(spec: TrafficSpec, config: NetworkConfig) -> FlowTable:
                      class_codes(sizes, config))
 
 
-def demand_matrix(flows, n, class_filter=None) -> DemandMatrix:
+def demand_matrix(flows: FlowTable, n, class_filter=None) -> DemandMatrix:
     """Accumulate flow sizes into an n x n matrix, optionally for one class.
 
     ``np.add.at`` adds repeated pairs in flow order, so each cell gets the
     same float sum as one ``+=`` per flow.
     """
-    flows = FlowTable.of(flows)
+    flows._require(np.maximum(flows.src, flows.dst) < n, f"ToR ids must be < n = {n}")
     src, dst, sizes = flows.src, flows.dst, flows.size_bits
     if class_filter is not None:
         picked = flows.flow_class == FLOW_CLASSES.index(FlowClass(class_filter))
@@ -166,14 +166,13 @@ def skewness_phi(demand: DemandMatrix, active_tors=None) -> float:
     return float(np.average(phis, weights=weights))
 
 
-def write_trace(flows, path):
+def write_trace(flows: FlowTable, path):
     """Export flows as CSV ``arrival_s,src,dst,size_bits,class``.
 
     The rows are the bytes ``csv.writer`` writes: ``\\r\\n`` line ends and
     no field that needs quoting. They are formatted ``_TRACE_ROWS`` at a
     time, so the text and Python values held at once stay bounded.
     """
-    flows = FlowTable.of(flows)
     values = [c.value for c in FLOW_CLASSES]
     columns = (flows.arrival_s, flows.src, flows.dst, flows.size_bits, flows.flow_class)
     with open(path, "w", newline="") as fh:

@@ -1,8 +1,17 @@
 import math
 
+import numpy as np
 import pytest
 
-from ocsnet.model import NetworkConfig, validate
+from ocsnet.model import FlowTable, NetworkConfig, class_codes, validate
+
+
+def flow_table(config, rows):
+    """The ``FlowTable`` of ``(src, dst, size_bits, arrival_s)`` rows, classed
+    by ``model.class_codes``; sizes keep what ``np.asarray`` makes of them."""
+    src, dst, size, arrival = zip(*rows) if rows else ((),) * 4
+    size = np.asarray(size)
+    return FlowTable(src, dst, size, arrival, class_codes(size, config))
 
 
 @pytest.fixture

@@ -17,11 +17,13 @@ from ocsnet.analytics import (
     optimal_split, rotor_component_dct, throughput_star,
 )
 from ocsnet.distributions import FlowSizeDistribution, default_mix
-from ocsnet.model import NetworkConfig, make_flow, validate
+from ocsnet.model import NetworkConfig, validate
 from ocsnet.traffic import (
     TrafficSpec, class_rates, demand_matrix, generate, skewness_phi,
     variation_distance,
 )
+
+from conftest import flow_table
 
 
 def _verdict(num, ok, detail):
@@ -96,7 +98,7 @@ def test_criterion_6_cache_single_flow_law():
     ok = True
     for mb in (15.625, 125.0, 1000.0):
         size = mb * 8e6
-        res = simulator.run(cfg, [make_flow(0, 1, size, 0.0, cfg)])
+        res = simulator.run(cfg, flow_table(cfg, [(0, 1, size, 0.0)]))
         want = cfg.R_c + size / cfg.r
         ok &= abs(res.dct_s - want) <= 1e-9
         details.append(f"{mb:g} MB -> {res.dct_s:.6f} s (law {want:.6f})")

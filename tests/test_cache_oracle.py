@@ -17,7 +17,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ocsnet import simulator
-from ocsnet.model import NetworkConfig, make_flow, validate
+from ocsnet.model import NetworkConfig, validate
+
+from conftest import flow_table
 
 
 class OracleCachePlane(simulator._CachePlane):
@@ -142,7 +144,7 @@ def test_row_and_column_refill_matches_the_full_scan(data):
     times = _TIMES if data.draw(st.booleans(), label="spread") else st.just(0.0)
     drawn = data.draw(st.lists(st.tuples(st.sampled_from(pairs), _SIZES, times),
                                min_size=1, max_size=40), label="flows")
-    flows = [make_flow(s, d, size, t, cfg) for (s, d), size, t in drawn]
+    flows = flow_table(cfg, [(s, d, size, t) for (s, d), size, t in drawn])
 
     for batch in (False, True):
         got, got_starts = run_checked(cfg, flows, batch, cache_policy=policy)
@@ -160,9 +162,9 @@ def test_row_and_column_refill_matches_the_full_scan(data):
 
 def test_release_starts_the_column_then_the_row():
     cfg = cfg_of(4, 0, 1)
-    flows = [make_flow(0, 1, 3e7, 0.0, cfg),    # runs until 4 ms
-             make_flow(2, 1, 1e7, 1e-3, cfg),   # waits for destination 1
-             make_flow(0, 3, 1e7, 2e-3, cfg)]   # waits for source 0
+    flows = flow_table(cfg, [(0, 1, 3e7, 0.0),    # runs until 4 ms
+                             (2, 1, 1e7, 1e-3),   # waits for destination 1
+                             (0, 3, 1e7, 2e-3)])  # waits for source 0
     res, starts = run_checked(cfg, flows, False)
     release = cfg.R_c + 3e7 / cfg.r
     assert starts == [(0.0, 0), (release, 1), (release, 2)]
@@ -173,10 +175,10 @@ def test_release_starts_the_column_then_the_row():
 
 def test_tied_waits_go_to_the_smallest_pair():
     cfg = cfg_of(4, 0, 1)
-    flows = [make_flow(2, 1, 3e7, 0.0, cfg),    # frees source 2 and destination 1
-             make_flow(2, 3, 1e7, 1e-3, cfg),   # the freed row
-             make_flow(3, 1, 1e7, 1e-3, cfg),   # the freed column
-             make_flow(0, 1, 1e7, 1e-3, cfg)]   # the freed column, smallest pair
+    flows = flow_table(cfg, [(2, 1, 3e7, 0.0),    # frees source 2 and destination 1
+                             (2, 3, 1e7, 1e-3),   # the freed row
+                             (3, 1, 1e7, 1e-3),   # the freed column
+                             (0, 1, 1e7, 1e-3)])  # the freed column, smallest pair
     res, starts = run_checked(cfg, flows, False)
     release = cfg.R_c + 3e7 / cfg.r
     second = release + cfg.R_c + 1e7 / cfg.r

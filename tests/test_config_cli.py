@@ -328,6 +328,15 @@ class TestCommands:
         ("network.n = 1\n", "n must be >= 2, got 1"),
         ("traffic.window_s = nan\n", "window_s must be positive and finite"),
         ("network.n 8\n", "line 1: expected 'key = value'"),
+        ("traffic.distribution.kind = point\ntraffic.distribution.size_mbit = nan\n",
+         "all sizes must be positive and finite"),
+        ("traffic.distribution.kind = log-uniform\ntraffic.distribution.lower_bits = 1\n"
+         "traffic.distribution.upper_bits = inf\n", "log-uniform needs 0 < lower < upper < inf"),
+        ("traffic.distribution.kind = pareto\ntraffic.distribution.shape = nan\n"
+         "traffic.distribution.lower_bits = 1\n", "pareto needs finite shape"),
+        ("traffic.distribution.kind = two-point-bytes\ntraffic.distribution.size_a_mbit = 0\n"
+         "traffic.distribution.size_b_mbit = 1000\ntraffic.distribution.byte_frac_a = 0.5\n",
+         "all sizes must be positive and finite"),
     ])
     @pytest.mark.parametrize("command", [
         ["analyze", "--sweep", "load_x=0.5:0.5:0.1", "--seeds", "1"],

@@ -23,6 +23,20 @@ class TestConstructors:
         with pytest.raises(ValueError, match="positive"):
             FlowSizeDistribution.discrete([0.0], [1.0])
 
+    @pytest.mark.parametrize("make", [
+        lambda: FlowSizeDistribution.point(math.nan),
+        lambda: FlowSizeDistribution.discrete([1e6, math.inf], [0.5, 0.5]),
+        lambda: FlowSizeDistribution.discrete([1e6, 1e9], [math.nan, 1.0]),
+        lambda: FlowSizeDistribution.log_uniform(1.0, math.inf),
+        lambda: FlowSizeDistribution.pareto(math.nan, 1e6),
+        lambda: FlowSizeDistribution.pareto(2.0, math.inf),
+        lambda: FlowSizeDistribution.two_point_by_bytes(0.0, 1e9, 0.5),
+    ], ids=["nan-size", "inf-size", "nan-prob", "inf-log-uniform-upper", "nan-pareto-shape",
+            "inf-pareto-lower", "zero-size-by-bytes"])
+    def test_parameter_outside_its_range_rejected(self, make):
+        with pytest.raises(ValueError, match="finite|inf|lie in"):
+            make()
+
     def test_two_point_by_bytes_solves_probability(self):
         d = FlowSizeDistribution.two_point_by_bytes(1e6, 1e9, 0.5)
         # equal byte halves need 1000x more of the small flows

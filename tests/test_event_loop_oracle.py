@@ -9,22 +9,23 @@ call the planes' common ``on_event``. It loads the flow columns with
 ``_take`` and hands ``_on_arrival`` the flow index, and the planes write
 its records into the simulator's record columns, as in the current loop;
 it reads them back with each flow's own arrival time.
-``oracle_run_batch`` is the previous ``run_batch``, which copied every flow
-with its arrival reset to zero. The planes are shared, so records,
+``oracle_run_batch`` is the previous ``run_batch``: it serves a copy of the
+flows with every arrival reset to zero. The planes are shared, so records,
 completion time and bit counts must agree exactly.
 """
 import heapq
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from ocsnet import simulator
-from ocsnet.model import NetworkConfig, make_flow, validate
+from ocsnet.model import FlowTable, NetworkConfig, validate
 from ocsnet.simulator import SimResult
 from ocsnet.topology import build_expander
+
+from conftest import flow_table
 
 
 class EagerSimulator(simulator.Simulator):
@@ -38,8 +39,8 @@ class EagerSimulator(simulator.Simulator):
 
     def run(self, flows) -> SimResult:
         self._take(flows)
-        for i, f in enumerate(flows):
-            self.schedule(f.arrival_s, "arrival", i)
+        for i, t in enumerate(flows.arrival_s.tolist()):
+            self.schedule(t, "arrival", i)
         completed = True
         while self._heap:
             t, _, kind, payload = heapq.heappop(self._heap)
@@ -59,7 +60,7 @@ class EagerSimulator(simulator.Simulator):
                 self._check_conservation()
         done = np.flatnonzero(self._plane >= 0)
         records = simulator.Records(
-            done, np.array([f.arrival_s for f in flows], float)[done],
+            done, flows.arrival_s[done],
             self._completion_s[done], self._plane[done], self._hops[done])
         dct = max(records.completion_s.tolist(), default=0.0)
         return SimResult(
@@ -78,7 +79,8 @@ def oracle_run(config, flows, **kwargs):
 
 
 def oracle_run_batch(config, flows, **kwargs):
-    batch = [replace(f, arrival_s=0.0) for f in flows]
+    batch = FlowTable(flows.src, flows.dst, flows.size_bits, np.zeros(len(flows)),
+                      flows.flow_class)
     return EagerSimulator(config, **kwargs).run(batch)
 
 
@@ -132,8 +134,8 @@ def test_lazy_arrivals_match_the_eager_loop(data):
                                min_size=1, max_size=30), label="flows")
     m, big = cfg.medium_threshold_bits, cfg.large_threshold_bits
     scale = {"large": big / m, "2large": 2 * big / m}
-    flows = [make_flow(s, d, m * scale.get(size, size), t, cfg)
-             for (s, d), size, t in drawn]
+    flows = flow_table(cfg, [(s, d, m * scale.get(size, size), t)
+                             for (s, d), size, t in drawn])
     kwargs = dict(seed=data.draw(st.integers(0, 9), label="seed"), expander=graph,
                   cache_policy=data.draw(st.sampled_from(["queue", "spill"]),
                                          label="cache_policy"),
@@ -153,8 +155,8 @@ def test_unsorted_tied_arrivals_pop_in_index_order():
     cfg = validate(NetworkConfig(n=8, k_s=0, k_r=2, k_c=1, r=10e9,
                                  delta=100e-6, R_r=10e-6, R_c=1e-3))
     times = [2e-4, 0.0, 2e-4, 5e-5, 0.0, 5e-5, 2e-4, 0.0]
-    flows = [make_flow(i, (i + 3) % 8, 2.5e6 * (1 + i % 3), t, cfg)
-             for i, t in enumerate(times)]
+    flows = flow_table(cfg, [(i, (i + 3) % 8, 2.5e6 * (1 + i % 3), t)
+                             for i, t in enumerate(times)])
     got = simulator.run(cfg, flows)
     assert got.completed
     assert [rec.flow_id for rec in got.records] == list(range(len(flows)))
@@ -168,10 +170,10 @@ def test_arrival_tied_with_a_circuit_release_pops_first():
     # find the ports busy, and spill to the rotors
     cfg = validate(NetworkConfig(n=8, k_s=0, k_r=2, k_c=1, r=10e9,
                                  delta=100e-6, R_r=10e-6, R_c=1e-3))
-    first = make_flow(0, 1, 2 * cfg.large_threshold_bits, 0.0, cfg)
-    release = 0.0 + cfg.R_c + first.size_bits / cfg.r
-    flows = [first, make_flow(2, 3, 2.5e6, release / 2, cfg),
-             make_flow(0, 1, first.size_bits, release, cfg)]
+    size = 2 * cfg.large_threshold_bits
+    release = 0.0 + cfg.R_c + size / cfg.r
+    flows = flow_table(cfg, [(0, 1, size, 0.0), (2, 3, 2.5e6, release / 2),
+                             (0, 1, size, release)])
     got = simulator.run(cfg, flows, cache_policy="spill")
     assert got.spill_count == 1
     assert [rec.plane for rec in got.records] == ["cache", "rotor", "rotor"]

@@ -7,8 +7,10 @@ import numpy as np
 
 from ocsnet.model import (
     FLOW_CLASSES, DemandMatrix, Flow, FlowClass, FlowTable, NetworkConfig, class_codes,
-    class_of, make_flow, validate,
+    validate,
 )
+
+from conftest import flow_table
 
 
 def base_config(**kw):
@@ -80,6 +82,10 @@ class TestValidate:
             == math.inf
 
 
+def class_of(size_bits, config):
+    return FLOW_CLASSES[class_codes(size_bits, config)]
+
+
 class TestClassOf:
     def test_below_medium_is_small(self):
         cfg = validate(base_config())
@@ -104,11 +110,6 @@ class TestClassOf:
         assert [FLOW_CLASSES[c] for c in class_codes(np.array(sizes), cfg)] == [
             class_of(size, cfg) for size in sizes]
 
-    def test_nonpositive_size_rejected(self):
-        cfg = validate(base_config())
-        with pytest.raises(ValueError):
-            class_of(0, cfg)
-
     @given(st.floats(min_value=1.0, max_value=1e12),
            st.floats(min_value=1.0, max_value=1e12))
     def test_monotone_in_size(self, a, b):
@@ -124,64 +125,61 @@ class TestClassOf:
 
 
 class TestFlow:
+    """``Flow`` is a table's row type: the table holds its invariants and
+    names the first row that breaks one."""
+
     def test_self_loop_rejected(self):
-        with pytest.raises(ValueError):
-            Flow(3, 3, 100, 0.0, FlowClass.SMALL)
+        with pytest.raises(ValueError, match=r"^flow 1: .* coincide, got Flow\(src=3, dst=3,"):
+            flow_table(validate(base_config()), [(0, 1, 100, 0.0), (3, 3, 100, 0.0)])
 
     def test_nonpositive_size_rejected(self):
-        with pytest.raises(ValueError):
-            Flow(0, 1, 0, 0.0, FlowClass.SMALL)
-
-    def test_make_flow_classifies(self):
-        cfg = validate(base_config())
-        assert make_flow(0, 1, 2e6, 0.0, cfg).flow_class is FlowClass.MEDIUM
+        with pytest.raises(ValueError, match=r"^flow 0: size .*, got Flow\(.*size_bits=0,"):
+            flow_table(validate(base_config()), [(0, 1, 0, 0.0)])
 
 
 class TestFlowTable:
-    FLOWS = [Flow(0, 1, 100, 0.5, FlowClass.SMALL), Flow(2, 0, 7, 0.25, FlowClass.LARGE),
-             Flow(1, 3, 2.5, 0.0, FlowClass.MEDIUM)]
+    # sizes from 5 bits are medium, from 50 bits large
+    CFG = base_config(medium_threshold_bits=5, large_threshold_bits=50)
+    ROWS = [(0, 1, 100, 0.5), (2, 0, 7, 0.25), (1, 3, 2.5, 0.0)]
+    FLOWS = [Flow(0, 1, 100, 0.5, FlowClass.LARGE), Flow(2, 0, 7, 0.25, FlowClass.MEDIUM),
+             Flow(1, 3, 2.5, 0.0, FlowClass.SMALL)]
 
-    def test_of_keeps_rows_and_a_fractional_size_exact(self):
-        table = FlowTable.of(self.FLOWS)
+    def test_rows_keep_a_fractional_size_exact(self):
+        table = flow_table(self.CFG, self.ROWS)
         assert len(table) == 3
         assert list(table) == self.FLOWS
         assert table.size_bits.tolist() == [100.0, 7.0, 2.5]
         assert [table[i] for i in range(-3, 0)] == self.FLOWS
         assert table.src.dtype == table.dst.dtype == np.int32
-        assert table.flow_class.tolist() == [0, 2, 1]
+        assert table.flow_class.tolist() == [2, 1, 0]
 
     def test_columns_are_read_only(self):
-        table = FlowTable.of(self.FLOWS)
+        table = flow_table(self.CFG, self.ROWS)
         with pytest.raises(ValueError, match="read-only"):
             table.dst[0] = table.src[0]
         with pytest.raises(ValueError, match="read-only"):
             table[:2].size_bits[1] = 0
 
-    def test_of_a_table_is_the_table(self):
-        table = FlowTable.of(self.FLOWS)
-        assert FlowTable.of(table) is table
-
-    def test_of_nothing_is_an_empty_table(self):
-        table = FlowTable.of([])
+    def test_no_rows_is_an_empty_table(self):
+        table = flow_table(self.CFG, [])
         assert len(table) == 0 and list(table) == []
-        assert table.size_bits.dtype == np.int64
 
     def test_slice_is_a_table(self):
-        table = FlowTable.of(self.FLOWS)
-        assert table[1:] == FlowTable.of(self.FLOWS[1:])
+        table = flow_table(self.CFG, self.ROWS)
+        assert table[1:] == flow_table(self.CFG, self.ROWS[1:])
         assert list(table[::-1]) == self.FLOWS[::-1]
         assert len(table[5:]) == 0
 
     def test_equality_compares_columns_and_dtypes(self):
-        ints = [Flow(0, 1, 100, 0.5, FlowClass.SMALL), Flow(2, 0, 7, 0.25, FlowClass.LARGE)]
-        table = FlowTable.of(ints)
-        assert table == FlowTable.of(list(ints))
-        assert table != FlowTable.of(ints[:1])
-        assert table != FlowTable.of([ints[0], Flow(2, 0, 7, 0.5, FlowClass.LARGE)])
+        ints = self.ROWS[:2]
+        table = flow_table(self.CFG, ints)
+        assert table == flow_table(self.CFG, list(ints))
+        assert table != flow_table(self.CFG, ints[:1])
+        assert table != flow_table(self.CFG, [ints[0], (2, 0, 7, 0.5)])
         as_floats = FlowTable(table.src, table.dst, table.size_bits.astype(float),
                               table.arrival_s, table.flow_class)
-        assert list(as_floats) == ints and as_floats != table
-        assert table != ints
+        assert list(as_floats) == list(table) and as_floats != table
+        assert table != list(table)
 
     @pytest.mark.parametrize("columns, match", [
         (([0, 1], [1, 1], [5, 5], [0.0, 0.0], [0, 0]), "coincide"),
@@ -190,6 +188,13 @@ class TestFlowTable:
         (([0, 1], [1, 0], [5, 5], [0.0], [0, 0]), "equal length"),
         (([0, 1], [1, 0], [5, 5], [0.0, 0.0], [0, 3]), "class codes"),
         (([[0, 1]], [[1, 0]], [[5, 5]], [[0.0, 0.0]], [[0, 0]]), "1-D"),
+        (([0, -1], [1, 0], [5, 5], [0.0, 0.0], [0, 0]), "flow 1: ToR ids must be >= 0"),
+        (([0, 1], [1, -2], [5, 5], [0.0, 0.0], [0, 0]), "flow 1: ToR ids must be >= 0"),
+        (([0, 1], [1, 0], [5, np.nan], [0.0, 0.0], [0, 0]), "flow 1: size must be positive"),
+        (([0, 1], [1, 0], [5, np.inf], [0.0, 0.0], [0, 0]), "flow 1: size must be .* finite"),
+        (([0, 1], [1, 0], [5, 5], [0.0, np.nan], [0, 0]), "flow 1: arrival must be finite"),
+        (([0, 1], [1, 0], [5, 5], [0.0, np.inf], [0, 0]), "flow 1: arrival must be finite"),
+        (([0, 1], [1, 0], [5, 5], [0.0, -1.0], [0, 0]), "flow 1: arrival must be finite and >= 0"),
     ])
     def test_checks_flow_invariants(self, columns, match):
         with pytest.raises(ValueError, match=match):

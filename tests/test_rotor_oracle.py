@@ -9,9 +9,8 @@ matching in one 2-D pass and keeps the pair FIFOs in a flow log, so after
 every slot the queues, the relay parking, the delivered bits and the
 relay chunk FIFOs must be equal bit for bit, and so must the records.
 
-Sizes are not whole numbers of bits (``make_flow`` would round them, so
-the flows are built directly), and neither is the paper profile's slot
-(``delta * r`` = 999999.9999999999 bits), so float rounding shows
+Sizes are not whole numbers of bits, and neither is the paper profile's
+slot (``delta * r`` = 999999.9999999999 bits), so float rounding shows
 whenever the order of additions changes. Sizes are drawn from a small set
 as well, so that queue rows tie and the order ``argsort`` gives ties
 matters.
@@ -23,7 +22,9 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from ocsnet import simulator
-from ocsnet.model import Flow, FlowClass, NetworkConfig, validate
+from ocsnet.model import NetworkConfig, validate
+
+from conftest import flow_table
 
 
 class OracleRotorPlane:
@@ -263,7 +264,7 @@ def test_array_rotor_matches_the_per_source_walk(data):
     pairs = [(s, d) for s in range(n) for d in range(n) if s != d]
     drawn += data.draw(st.lists(st.tuples(st.sampled_from(pairs), _SIZES, times),
                                 max_size=20), label="more flows")
-    flows = [Flow(s, d, size, t, FlowClass.MEDIUM) for (s, d), size, t in drawn]
+    flows = flow_table(cfg, [(s, d, size, t) for (s, d), size, t in drawn])
     batch = data.draw(st.booleans(), label="batch")
 
     got, got_states = run_logged(simulator._RotorPlane, cfg, flows, batch)
@@ -280,8 +281,7 @@ def test_relayed_flow_reports_two_hops():
     # a backlog of four slots to one destination: direct service on one
     # switch and relaying through the others
     cfg = cfg_of(4, 3)
-    flows = [Flow(0, 1, 4 * _SLOT + 0.5, 0.0, FlowClass.MEDIUM),
-             Flow(2, 3, 0.5 * _SLOT, 0.0, FlowClass.MEDIUM)]
+    flows = flow_table(cfg, [(0, 1, 4 * _SLOT + 0.5, 0.0), (2, 3, 0.5 * _SLOT, 0.0)])
     got, got_states = run_logged(simulator._RotorPlane, cfg, flows, True)
     want, want_states = run_logged(OracleRotorPlane, cfg, flows, True)
     assert_same_states(got_states, want_states)

@@ -11,11 +11,13 @@ from hypothesis import given, settings, strategies as st
 from ocsnet import config_io, model, simulator
 from ocsnet.analytics import dct_all_to_all_rotor, dct_rotor
 from ocsnet.distributions import FlowSizeDistribution
-from ocsnet.model import NetworkConfig, make_flow, validate
+from ocsnet.model import NetworkConfig, validate
 from ocsnet.topology import build_expander
 from ocsnet.traffic import (
     TrafficSpec, demand_matrix, generate, skewness_phi, write_trace,
 )
+
+from conftest import flow_table
 
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
@@ -31,7 +33,7 @@ def cfg_of(n, k_s, k_r, k_c, **kw):
 class TestRun:
     def test_empty_trace(self):
         cfg = cfg_of(8, 0, 4, 0)
-        res = simulator.run(cfg, [])
+        res = simulator.run(cfg, flow_table(cfg, []))
         assert res.dct_s == 0.0 and res.completed
 
     def test_unset_thresholds_rejected(self):
@@ -49,16 +51,26 @@ class TestRun:
         results = [run(cfg, want, expander=graph) for run in (simulator.run,
                                                                simulator.run_batch)]
 
-        def no_flow(self):
+        def no_flow(*args):
             raise AssertionError("a Flow was built")
 
-        monkeypatch.setattr(model.Flow, "__post_init__", no_flow)
+        monkeypatch.setattr(model.Flow, "__new__", no_flow)
         flows = generate(spec, cfg)
         assert flows == want and set(flows.flow_class.tolist()) == {0, 1, 2}
         write_trace(flows, tmp_path / "trace.csv")
         demand_matrix(flows, cfg.n, class_filter="medium")
         for run, result in zip((simulator.run, simulator.run_batch), results):
             assert run(cfg, flows, expander=graph) == result
+
+    @pytest.mark.parametrize("k_s, k_r, k_c", [(0, 4, 0), (2, 2, 2)])
+    @pytest.mark.parametrize("src, dst", [(-1, 2), (2, 8)])
+    def test_tor_outside_the_network_is_rejected_before_the_first_event(
+            self, monkeypatch, k_s, k_r, k_c, src, dst):
+        cfg = cfg_of(8, k_s, k_r, k_c)
+        counts = _count_events(monkeypatch)
+        with pytest.raises(ValueError, match="^flow 1: ToR ids must be "):
+            simulator.run(cfg, flow_table(cfg, [(0, 1, 1e5, 0.0), (src, dst, 2e6, 0.0)]))
+        assert not counts
 
     def test_determinism(self):
         cfg = cfg_of(16, 0, 8, 0, large_threshold_bits=math.inf)
@@ -85,8 +97,8 @@ class TestRun:
 
     def test_horizon_marks_incomplete(self):
         cfg = cfg_of(8, 0, 0, 1)
-        flow = make_flow(0, 1, 8e9, 0.0, cfg)  # needs R_c + 0.8 s
-        res = simulator.run(cfg, [flow], horizon_s=0.1)
+        flows = flow_table(cfg, [(0, 1, 8e9, 0.0)])  # needs R_c + 0.8 s
+        res = simulator.run(cfg, flows, horizon_s=0.1)
         assert not res.completed and len(res.records) == 0
 
     def test_a_run_cut_by_the_horizon_keeps_the_completed_flows(self):
@@ -153,8 +165,7 @@ class TestRouting:
         size = {"small": 1e5, "medium": cfg.medium_threshold_bits,
                 "large": cfg.large_threshold_bits}[flow_class]
         # two large flows on one pair: the second finds a single cache switch busy
-        flows = [make_flow(0, 1, size, 0.0, cfg)
-                 for _ in range(2 if flow_class == "large" else 1)]
+        flows = flow_table(cfg, [(0, 1, size, 0.0)] * (2 if flow_class == "large" else 1))
         assert {f.flow_class.value for f in flows} == {flow_class}
 
         oblivious = "rotor" if k_r else "expander" if k_s else None
@@ -186,19 +197,19 @@ class TestCachePlane:
     @pytest.mark.parametrize("size", [1.25e8, 1e9, 8e9])
     def test_single_flow_law(self, size):
         cfg = cfg_of(8, 0, 0, 1)
-        res = simulator.run(cfg, [make_flow(0, 1, size, 0.0, cfg)])
+        res = simulator.run(cfg, flow_table(cfg, [(0, 1, size, 0.0)]))
         assert res.dct_s == pytest.approx(cfg.R_c + size / cfg.r, abs=1e-9)
         assert res.records[0].plane == "cache" and res.records[0].hops == 1
 
     def test_shared_source_port_serializes(self):
         cfg = cfg_of(8, 0, 0, 1)
-        flows = [make_flow(0, 1, 1e9, 0.0, cfg), make_flow(0, 2, 1e9, 0.0, cfg)]
+        flows = flow_table(cfg, [(0, 1, 1e9, 0.0), (0, 2, 1e9, 0.0)])
         res = simulator.run(cfg, flows)
         assert res.dct_s == pytest.approx(2 * cfg.R_c + 2 * 1e9 / cfg.r, abs=1e-9)
 
     def test_disjoint_pairs_run_in_parallel(self):
         cfg = cfg_of(8, 0, 0, 1)
-        flows = [make_flow(0, 1, 1e9, 0.0, cfg), make_flow(2, 3, 1e9, 0.0, cfg)]
+        flows = flow_table(cfg, [(0, 1, 1e9, 0.0), (2, 3, 1e9, 0.0)])
         res = simulator.run(cfg, flows)
         assert res.dct_s == pytest.approx(cfg.R_c + 1e9 / cfg.r, abs=1e-9)
 
@@ -206,13 +217,13 @@ class TestCachePlane:
         # each spine switch has its own ToR uplink, so the same pair can
         # be served on two switches at once
         cfg = cfg_of(8, 0, 0, 2)
-        flows = [make_flow(0, 1, 1e9, 0.0, cfg), make_flow(0, 1, 1e9, 0.0, cfg)]
+        flows = flow_table(cfg, [(0, 1, 1e9, 0.0), (0, 1, 1e9, 0.0)])
         res = simulator.run(cfg, flows)
         assert res.dct_s == pytest.approx(cfg.R_c + 1e9 / cfg.r, abs=1e-9)
 
     def test_spill_policy_reroutes_to_rotor(self):
         cfg = cfg_of(8, 0, 4, 1)
-        flows = [make_flow(0, 1, 2e8, 0.0, cfg), make_flow(0, 2, 2e8, 0.0, cfg)]
+        flows = flow_table(cfg, [(0, 1, 2e8, 0.0), (0, 2, 2e8, 0.0)])
         spill = simulator.run(cfg, flows, cache_policy="spill")
         queue = simulator.run(cfg, flows, cache_policy="queue")
         assert spill.spill_count == 1 and queue.spill_count == 0
@@ -221,22 +232,20 @@ class TestCachePlane:
 
     def test_no_cache_switches_spill_everything(self):
         cfg = cfg_of(8, 0, 4, 0)
-        res = simulator.run(cfg, [make_flow(0, 1, 2e8, 0.0, cfg)])
+        res = simulator.run(cfg, flow_table(cfg, [(0, 1, 2e8, 0.0)]))
         assert res.spill_count == 1 and res.records[0].plane == "rotor"
 
 
 class TestRotorPlane:
     def test_single_slot_flow_completes_within_one_period(self):
         cfg = cfg_of(2, 0, 1, 0, large_threshold_bits=math.inf)
-        flow = make_flow(0, 1, cfg.delta * cfg.r, 0.0, cfg)
-        res = simulator.run(cfg, [flow])
+        res = simulator.run(cfg, flow_table(cfg, [(0, 1, cfg.delta * cfg.r, 0.0)]))
         assert res.dct_s <= cfg.delta + cfg.R_r + 1e-12
         assert res.records[0].hops == 1
 
     def test_mid_slot_arrival_waits_for_next_slot(self):
         cfg = cfg_of(2, 0, 1, 0, large_threshold_bits=math.inf)
-        flow = make_flow(0, 1, 1e6, 0.5 * cfg.delta, cfg)
-        res = simulator.run(cfg, [flow])
+        res = simulator.run(cfg, flow_table(cfg, [(0, 1, 1e6, 0.5 * cfg.delta)]))
         period = cfg.delta + cfg.R_r
         assert res.dct_s == pytest.approx(period + cfg.delta, abs=1e-12)
 
@@ -247,8 +256,8 @@ class TestRotorPlane:
         # fractional tails add per-shift quantization it does not model
         per_pair = 40 * cfg.medium_threshold_bits
         per_tor = per_pair * (n - 1)
-        flows = [make_flow(i, j, per_pair, 0.0, cfg)
-                 for i in range(n) for j in range(n) if i != j]
+        flows = flow_table(cfg, [(i, j, per_pair, 0.0)
+                                 for i in range(n) for j in range(n) if i != j])
         res = simulator.run(cfg, flows)
         analytic = dct_all_to_all_rotor(per_tor, k_r, cfg)
         assert abs(res.dct_s - analytic) / analytic <= 0.10
@@ -277,8 +286,7 @@ class TestRotorPlane:
         n = 8
         cfg = cfg_of(n, 0, 1, 0, large_threshold_bits=math.inf)
         direct_only = (n - 1) * cfg.delta * cfg.r  # one slot per cycle
-        flow = make_flow(0, 1, 20 * direct_only, 0.0, cfg)
-        res = simulator.run(cfg, [flow])
+        res = simulator.run(cfg, flow_table(cfg, [(0, 1, 20 * direct_only, 0.0)]))
         assert res.records[0].hops == 2
         # Valiant spreading must beat the single-slot-per-cycle service time
         cycles_direct_only = 20 * (n - 1)
@@ -287,7 +295,7 @@ class TestRotorPlane:
     def test_audit_catches_relayed_bits_that_vanish(self, monkeypatch):
         n = 8
         cfg = cfg_of(n, 0, 1, 0, large_threshold_bits=math.inf)
-        flow = make_flow(0, 1, 20 * (n - 1) * cfg.delta * cfg.r, 0.0, cfg)
+        flows = flow_table(cfg, [(0, 1, 20 * (n - 1) * cfg.delta * cfg.r, 0.0)])
         drain = simulator._RotorPlane._drain_chunks
 
         def leaky_drain(self, relay, dst, amount):
@@ -295,7 +303,7 @@ class TestRotorPlane:
 
         monkeypatch.setattr(simulator._RotorPlane, "_drain_chunks", leaky_drain)
         with pytest.raises(AssertionError, match="conservation"):
-            simulator.run(cfg, [flow])
+            simulator.run(cfg, flows)
 
 
 class TestExpanderPlane:
@@ -303,7 +311,7 @@ class TestExpanderPlane:
         cfg = cfg_of(4, 1, 0, 0)
         g = build_expander(4, 1, seed=0)
         dst = g.matchings[0][0]
-        res = simulator.run(cfg, [make_flow(0, dst, 5e5, 0.0, cfg)], expander=g)
+        res = simulator.run(cfg, flow_table(cfg, [(0, dst, 5e5, 0.0)]), expander=g)
         assert res.dct_s == pytest.approx(5e5 / cfg.r, abs=1e-9)
         assert res.records[0].plane == "expander" and res.records[0].hops == 1
 
@@ -311,14 +319,14 @@ class TestExpanderPlane:
         cfg = cfg_of(4, 1, 0, 0)
         g = build_expander(4, 1, seed=0)
         dst = g.matchings[0][0]
-        flows = [make_flow(0, dst, 5e5, 0.0, cfg) for _ in range(2)]
+        flows = flow_table(cfg, [(0, dst, 5e5, 0.0)] * 2)
         res = simulator.run(cfg, flows, expander=g)
         assert res.dct_s == pytest.approx(2 * 5e5 / cfg.r, abs=1e-9)
 
     def test_arrivals_at_one_instant_share_one_filling(self, monkeypatch):
         cfg = cfg_of(16, 3, 0, 0)
-        flows = [make_flow(s, (s + d) % 16, 1e5, t, cfg)
-                 for t in (1e-4, 2e-4) for s in range(16) for d in (1, 5)]
+        flows = flow_table(cfg, [(s, (s + d) % 16, 1e5, t)
+                                 for t in (1e-4, 2e-4) for s in range(16) for d in (1, 5)])
         sim = simulator.Simulator(cfg, expander=build_expander(16, 3, seed=2))
         fill, clocks = simulator._max_min_fill, []
 
@@ -338,8 +346,7 @@ class TestExpanderPlane:
         g = build_expander(4, 1, seed=0)
         dst = g.matchings[0][0]
         tie = 100008 / cfg.r
-        flows = [make_flow(0, dst, 100008, 0.0, cfg)] + [
-            make_flow(0, dst, 5e4, tie, cfg) for _ in range(3)]
+        flows = flow_table(cfg, [(0, dst, 100008, 0.0)] + [(0, dst, 5e4, tie)] * 3)
         res = simulator.run(cfg, flows, expander=g)
         assert [rec.completion_s for rec in res.records] == [
             1.0000800000000004e-05, 2.50008e-05, 2.50008e-05, 2.50008e-05]
@@ -358,7 +365,7 @@ class TestExpanderPlane:
     @pytest.mark.parametrize("n,degree", [(16, 5), (4, 2), (8, 3)])
     def test_expander_for_another_network_rejected(self, n, degree):
         cfg = cfg_of(8, 2, 2, 0)
-        flows = [make_flow(0, 1, 1e5, 0.0, cfg)]
+        flows = flow_table(cfg, [(0, 1, 1e5, 0.0)])
         with pytest.raises(ValueError, match="expander has"):
             simulator.run(cfg, flows, expander=build_expander(n, degree, seed=0))
 
@@ -367,8 +374,8 @@ class TestExpanderPlane:
         cfg = cfg_of(16, 1, 1, 0)
         graph = build_expander(16, 1, seed=0)
         assert np.isinf(graph.distances()[0, 3])
-        flows = [make_flow(0, 1, 2 * cfg.medium_threshold_bits, 0.0, cfg),
-                 make_flow(0, 3, 1e5, 1e-3, cfg)]
+        flows = flow_table(cfg, [(0, 1, 2 * cfg.medium_threshold_bits, 0.0),
+                                 (0, 3, 1e5, 1e-3)])
         counts = _count_events(monkeypatch)
         with pytest.raises(ValueError, match="no path from 0 to 3 on the expander"):
             simulator.run(cfg, flows, expander=graph)
@@ -376,7 +383,7 @@ class TestExpanderPlane:
 
     def test_large_flow_spilled_to_the_expander_is_routed_on_arrival(self, monkeypatch):
         cfg = cfg_of(16, 1, 0, 0)
-        flows = [make_flow(0, 3, 2 * cfg.large_threshold_bits, 1e-3, cfg)]
+        flows = flow_table(cfg, [(0, 3, 2 * cfg.large_threshold_bits, 1e-3)])
         counts = _count_events(monkeypatch)
         with pytest.raises(ValueError, match="no path from 0 to 3 on the expander"):
             simulator.run(cfg, flows, expander=build_expander(16, 1, seed=0))
@@ -384,14 +391,14 @@ class TestExpanderPlane:
 
     def test_small_flows_fall_back_to_rotor_without_static_switches(self):
         cfg = cfg_of(8, 0, 4, 0)
-        res = simulator.run(cfg, [make_flow(0, 1, 1e5, 0.0, cfg)])
+        res = simulator.run(cfg, flow_table(cfg, [(0, 1, 1e5, 0.0)]))
         assert res.records[0].plane == "rotor"
 
     def test_everything_on_expander_when_it_is_the_only_plane(self):
         cfg = cfg_of(8, 4, 0, 0)
-        flows = [make_flow(0, 1, 1e5, 0.0, cfg),    # small
-                 make_flow(0, 2, 4e6, 0.0, cfg),    # medium
-                 make_flow(0, 3, 2e8, 0.0, cfg)]    # large
+        flows = flow_table(cfg, [(0, 1, 1e5, 0.0),    # small
+                                 (0, 2, 4e6, 0.0),    # medium
+                                 (0, 3, 2e8, 0.0)])   # large
         res = simulator.run(cfg, flows, seed=1)
         assert {rec.plane for rec in res.records} == {"expander"}
         assert res.completed
@@ -447,7 +454,7 @@ class TestProperties:
         times = st.sampled_from([0.0, 0.0, 2e-4, 1e-3, 2e-3, 2.5e-3])
         drawn = data.draw(st.lists(st.tuples(st.sampled_from(pairs), sizes, times),
                                    min_size=1, max_size=30), label="flows")
-        flows = [make_flow(s, d, size, t, cfg) for (s, d), size, t in drawn]
+        flows = flow_table(cfg, [(s, d, size, t) for (s, d), size, t in drawn])
         graph = build_expander(n, k_s, seed=0) if k_s else None
         batch = data.draw(st.booleans(), label="batch")
         run = simulator.run_batch if batch else simulator.run

@@ -158,9 +158,10 @@ class TestGenerate:
     def test_demand_matrix_matches_the_per_flow_loop(self, cfg, class_filter):
         flows = generate(TrafficSpec("uniform", 0.2, default_mix(), window_s=0.01, seed=0), cfg)
         # sums that round differently if the flows are added out of order
-        flows = FlowTable.of(list(flows) + [Flow(1, 2, size, 0.0, cls) for size, cls in [
-            (2 ** 53, FlowClass.LARGE), (1, FlowClass.SMALL), (1, FlowClass.SMALL),
-            (1, FlowClass.LARGE), (2 ** 53, FlowClass.SMALL)]])
+        size, code = zip(*[(2 ** 53, 2), (1, 0), (1, 0), (1, 2), (2 ** 53, 0)])
+        flows = FlowTable(*map(np.concatenate, zip(
+            (flows.src, flows.dst, flows.size_bits, flows.arrival_s, flows.flow_class),
+            ([1] * 5, [2] * 5, size, [0.0] * 5, code))))
         expect = np.zeros((cfg.n, cfg.n))
         for f in flows:
             if class_filter is None or f.flow_class is FlowClass(class_filter):
@@ -170,7 +171,13 @@ class TestGenerate:
 
     def test_demand_matrix_rejects_unknown_class_without_flows(self):
         with pytest.raises(ValueError, match="huge"):
-            demand_matrix([], 4, class_filter="huge")
+            demand_matrix(FlowTable([], [], [], [], []), 4, class_filter="huge")
+
+    @pytest.mark.parametrize("src, dst", [(0, 4), (5, 1)])
+    def test_demand_matrix_rejects_a_tor_outside_it(self, src, dst):
+        flows = FlowTable([0, src], [1, dst], [5, 7], [0.0, 0.0], [0, 0])
+        with pytest.raises(ValueError, match=r"^flow 1: ToR ids must be < n = 4, got Flow\("):
+            demand_matrix(flows, 4)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -306,12 +313,12 @@ class TestTraceIO:
 
     def test_awkward_floats_match_the_csv_writer(self, tmp_path):
         arrivals = [5e-324, 1e-05, 0.1 + 0.2, 1e16, 0.0, 123456789.125]
-        flows = [Flow(i, i + 1, 2 ** 40 + i, t, FlowClass.MEDIUM)
-                 for i, t in enumerate(arrivals)]
-        write_trace(FlowTable.of(flows), tmp_path / "got.csv")
+        flows = FlowTable(range(6), range(1, 7), [2 ** 40 + i for i in range(6)], arrivals,
+                          [1] * 6)
+        write_trace(flows, tmp_path / "got.csv")
         oracle_write_trace(flows, tmp_path / "want.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
-        assert list(read_trace(tmp_path / "got.csv")) == flows
+        assert read_trace(tmp_path / "got.csv") == flows
 
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -327,8 +334,13 @@ class TestTraceIO:
         ("0.5,3.0,4,100,small", "invalid literal"),
         ("0.5,3,4,100,huge", "huge"),
         ("0.5,3,4,100", "fields"),
+        ("nan,-3,2,100,small", "ToR ids must be >= 0"),
+        ("nan,3,2,100,small", "arrival must be finite"),
+        ("inf,3,2,100,small", "arrival must be finite"),
+        ("-1.0,3,2,100,small", "arrival must be finite and >= 0"),
     ], ids=["self-loop", "zero-size", "negative-size", "fractional-size",
-            "fractional-src", "unknown-class", "short-row"])
+            "fractional-src", "unknown-class", "short-row", "negative-src", "nan-arrival",
+            "inf-arrival", "negative-arrival"])
     def test_bad_row_rejected(self, tmp_path, row, match):
         path = tmp_path / "bad.csv"
         path.write_text(",".join(TRACE_HEADER) + "\n0.0,0,1,5,small\n" + row + "\n")
