@@ -128,33 +128,36 @@ def network_config(mapping) -> NetworkConfig:
 
 
 def distribution(mapping) -> FlowSizeDistribution:
+    """The flow-size distribution ``traffic.distribution.kind`` names, from its
+    keys; a missing key or an unreadable file raises ValueError naming it."""
     kind = mapping.get("traffic.distribution.kind", "default-mix")
-    g = lambda k: base_value(k, mapping[k])
+
+    def g(name):
+        key = f"traffic.distribution.{name}"
+        if key not in mapping:
+            raise ValueError(f"traffic.distribution.kind = {kind} needs {key}")
+        return base_value(key, mapping[key])
+
     if kind == "default-mix":
         return default_mix()
     if kind == "point":
-        return FlowSizeDistribution.point(g("traffic.distribution.size_mbit"))
+        return FlowSizeDistribution.point(g("size_mbit"))
     if kind == "two-point":
-        return FlowSizeDistribution.two_point(
-            g("traffic.distribution.size_a_mbit"),
-            g("traffic.distribution.size_b_mbit"),
-            float(mapping["traffic.distribution.prob_a"]),
-        )
+        return FlowSizeDistribution.two_point(g("size_a_mbit"), g("size_b_mbit"),
+                                              float(g("prob_a")))
     if kind == "two-point-bytes":
-        return FlowSizeDistribution.two_point_by_bytes(
-            g("traffic.distribution.size_a_mbit"),
-            g("traffic.distribution.size_b_mbit"),
-            float(mapping["traffic.distribution.byte_frac_a"]),
-        )
+        return FlowSizeDistribution.two_point_by_bytes(g("size_a_mbit"), g("size_b_mbit"),
+                                                       float(g("byte_frac_a")))
     if kind == "log-uniform":
-        return FlowSizeDistribution.log_uniform(
-            g("traffic.distribution.lower_bits"), g("traffic.distribution.upper_bits"))
+        return FlowSizeDistribution.log_uniform(g("lower_bits"), g("upper_bits"))
     if kind == "pareto":
-        return FlowSizeDistribution.pareto(
-            float(mapping["traffic.distribution.shape"]),
-            g("traffic.distribution.lower_bits"))
+        return FlowSizeDistribution.pareto(float(g("shape")), g("lower_bits"))
     if kind == "file":
-        return FlowSizeDistribution.from_csv(mapping["traffic.distribution.file"])
+        path = g("file")
+        try:
+            return FlowSizeDistribution.from_csv(path)
+        except OSError as exc:
+            raise ValueError(f"traffic.distribution.file {path!r}: {exc.strerror}") from None
     raise ValueError(f"unknown distribution kind {kind!r}")
 
 

@@ -16,13 +16,13 @@ prescribe: small to the expander, medium to the rotors, large to the
 demand-aware switches with either FIFO queueing ("queue") or immediate
 rerouting to the rotors when no ports are free ("spill").
 
-Every plane takes flows through ``add(fid, src, dst, size, now)``, which
-returns whether the plane took the flow, handles its own events through
-``on_event(payload, now)``, and reports the bits it holds as ``residual``.
+Every plane takes flows through ``add(fid, now)``, which returns whether
+the plane took the flow, handles its own events through ``on_event(payload,
+now)``, and reports the bits it holds as ``residual``. Planes keep flow ids
+only, and read a flow's columns from the ``Simulator`` when they need them.
 """
 from __future__ import annotations
 
-import bisect
 import heapq
 import math
 from collections import deque
@@ -107,11 +107,7 @@ class _RotorPlane:
         self.log_next = np.zeros(1, dtype=np.int64)
         self.n_log = 1
         self.pair_total = [0.0] * (n * n)   # bits added so far per pair
-        # src, dst, bits, fid, target per flow, in add order; flat, since a
-        # tuple per waiting flow doubles the garbage collector's passes, and
-        # src and dst are the caller's objects where a pair id is a new int
-        self.pending = []
-        self.arrivals = []              # the pending flows' arrival times
+        self.pending = []   # fid, target per flow in add order, flat: fewer GC passes
         self.pending_bits = 0.0
         self.in_network = 0.0           # queue + relay bits, as of the last slot end
         self.scheduled = False
@@ -121,15 +117,15 @@ class _RotorPlane:
         self._flat = tuple(a.reshape(-1) for a in (self.queue, self.relay_total,
                                                    self.delivered))
 
-    def add(self, fid, src, dst, size, now):
-        pair, bits = src * self.n + dst, float(size)
+    def add(self, fid, now):
+        sim = self.sim
+        pair, bits = sim._src[fid] * self.n + sim._dst[fid], sim._size.item(fid)
         self.pair_total[pair] += bits
-        self.pending.extend((src, dst, bits, fid, self.pair_total[pair]))
-        self.arrivals.append(now)
-        self.pending_bits += size
+        self.pending.extend((fid, self.pair_total[pair]))
+        self.pending_bits += bits
         if not self.scheduled:
             slot = math.ceil(max(now, 0.0) / self.period - 1e-12)
-            self.sim.schedule(slot * self.period + self.delta, "rotor_slot", slot)
+            sim.schedule(slot * self.period + self.delta, "rotor_slot", slot)
             self.scheduled = True
         return True
 
@@ -157,7 +153,7 @@ class _RotorPlane:
         """Queue the pending flows that arrived by ``slot_start`` and append
         them to their pairs' FIFOs.
 
-        Flows are added in time order, so these are a prefix of
+        Flows are added in arrival order, so these are a prefix of
         ``pending`` and are admitted in add order: the target ``add`` summed
         for each is the sum one ``+=`` per admitted flow of its pair gives.
         ``np.add.at`` adds repeated pairs in index order, so each queue
@@ -165,13 +161,15 @@ class _RotorPlane:
         ``pending_bits`` is reduced by a left-to-right cumsum, which
         subtracts in the same order.
         """
-        k = bisect.bisect_right(self.arrivals, slot_start + 1e-12)
+        sim = self.sim
+        fid, target = np.fromiter(self.pending, float, len(self.pending)).reshape(-1, 2).T
+        k = sim._arrival[fid.astype(np.int64)].searchsorted(slot_start + 1e-12, side="right")
         if not k:
             return
-        admitted = np.fromiter(self.pending[:5 * k], float, 5 * k).reshape(-1, 5)
-        del self.pending[:5 * k], self.arrivals[:k]
-        src, dst, bits, fid, target = admitted.T
-        pair, fid = (src * self.n + dst).astype(np.int64), fid.astype(np.int64)
+        del self.pending[:2 * k]
+        fid, target = fid[:k].astype(np.int64), target[:k]
+        pair = sim._flows.src[fid] * np.int64(self.n) + sim._flows.dst[fid]
+        bits = sim._size[fid].astype(float)
         self.pending_bits = float(np.cumsum(np.r_[self.pending_bits, -bits])[-1])
         np.add.at(self._flat[0], pair, bits)
 
@@ -328,36 +326,39 @@ class _CachePlane:
         self.free_dst = [set(range(n)) for _ in range(self.k_c)]
         self.n_free_src = [self.k_c] * n
         self.n_free_dst = [self.k_c] * n
-        self.pending = {}            # (src, dst) -> deque of (arrival, fid, size)
+        self.pending = {}            # (src, dst) -> deque of fids, oldest first
         self.residual = 0.0
 
-    def add(self, fid, src, dst, size, now):
+    def add(self, fid, now):
+        src, dst = self.sim._src[fid], self.sim._dst[fid]
         if self.n_free_src[src] and self.n_free_dst[dst]:
             for s in range(self.k_c):
                 if src in self.free_src[s] and dst in self.free_dst[s]:
-                    self._start(s, fid, src, dst, size, now)
-                    self.residual += size
+                    self._start(s, fid, src, dst, now)
+                    self.residual += self.sim._size.item(fid)
                     return True
         if self.spill:
             return False
-        self.pending.setdefault((src, dst), deque()).append((now, fid, size))
-        self.residual += size
+        self.pending.setdefault((src, dst), deque()).append(fid)
+        self.residual += self.sim._size.item(fid)
         return True
 
-    def _start(self, s, fid, src, dst, size, now):
+    def _start(self, s, fid, src, dst, now):
         self.free_src[s].discard(src)
         self.free_dst[s].discard(dst)
         self.n_free_src[src] -= 1
         self.n_free_dst[dst] -= 1
-        done = now + self.R_c + size / self.r
-        self.sim.schedule(done, "cache_done", (s, fid, src, dst, size))
+        done = now + self.R_c + self.sim._size.item(fid) / self.r
+        self.sim.schedule(done, "cache_done", (s, fid))
 
     def on_event(self, payload, now):
-        s, fid, src, dst, size = payload
+        s, fid = payload
+        sim = self.sim
+        src, dst, size = sim._src[fid], sim._dst[fid], sim._size.item(fid)
         self.residual -= size
-        self.sim.delivered_bits += size
-        self.sim.plane_bits["cache"] += size
-        self.sim.record(fid, now, _CACHE, 1)
+        sim.delivered_bits += size
+        sim.plane_bits["cache"] += size
+        sim.record(fid, now, _CACHE, 1)
         self.free_src[s].add(src)
         self.free_dst[s].add(dst)
         self.n_free_src[src] += 1
@@ -377,11 +378,11 @@ class _CachePlane:
                 candidates += [(i, dst) for i in fs if (i, dst) in pending]
             if not candidates:
                 return
-            key = min(candidates, key=lambda k: (pending[k][0][0], k))
-            _, fid, size = pending[key].popleft()
+            key = min(candidates, key=lambda k: (self.sim._arrival.item(pending[k][0]), k))
+            fid = pending[key].popleft()
             if not pending[key]:
                 del pending[key]
-            self._start(s, fid, key[0], key[1], size, now)
+            self._start(s, fid, *key, now)
 
 
 def _max_min_fill(flows, on_edge, capacity, edges):
@@ -464,9 +465,10 @@ class _ExpanderPlane:
         self._added = []             # links of the flows added since the last fill
         self.residual = 0.0
 
-    def add(self, fid, src, dst, size, now):
-        path = self._sample_path(src, dst)
+    def add(self, fid, now):
+        path = self._sample_path(self.sim._src[fid], self.sim._dst[fid])
         edges = [u * self.n + v for u, v in zip(path[:-1], path[1:])]
+        size = self.sim._size.item(fid)
         self.flows[fid] = [float(size), 0.0, edges]
         for e in edges:
             self.on_edge.setdefault(e, set()).add(fid)
@@ -634,20 +636,17 @@ class Simulator:
         flows in flight, and events pop in the same order as if every
         arrival had been pushed up front.
         """
-        self._take(flows)
-        n = len(flows)
-        if batch:
-            order = ((i, 0.0) for i in range(n))
-        else:
-            # stable, as sorted(range(n), key=...) is
-            i = np.argsort(flows.arrival_s, kind="stable")
-            order = zip(i.tolist(), flows.arrival_s[i].tolist())
-        self._seq = n
+        self._take(flows, batch)
+        # stable, so tied arrivals keep id order, as all do under batch; read
+        # as Python ints a chunk at a time, not as one list of 36 B a flow
+        order = (i for ids in np.split(np.argsort(self._arrival, kind="stable"),
+                                       range(1024, len(flows), 1024)) for i in ids.tolist())
+        self._seq = len(flows)
 
         def schedule_next_arrival():
-            i, t = next(order, (None, None))
+            i = next(order, None)
             if i is not None:
-                self.schedule(t, "arrival", i)
+                self.schedule(self._arrival.item(i), "arrival", i)
 
         schedule_next_arrival()
         completed = True
@@ -665,26 +664,29 @@ class Simulator:
             if self.audit:
                 self._check_conservation()
         done = np.flatnonzero(self._plane >= 0)
-        records = Records(done, np.broadcast_to(0.0 if batch else flows.arrival_s, n)[done],
-                          self._completion_s[done], self._plane[done], self._hops[done])
+        records = Records(done, self._arrival[done], self._completion_s[done],
+                          self._plane[done], self._hops[done])
         return SimResult(
             dct_s=float(records.completion_s.max(initial=0.0)),
             records=records,
             spill_count=self.spill_count,
-            completed=completed and len(records) == n,
+            completed=completed and len(records) == len(flows),
             injected_bits=self.injected_bits,
             delivered_bits=self.delivered_bits,
             plane_bits=dict(self.plane_bits),
         )
 
-    def _take(self, flows: FlowTable):
-        """Hold the columns ``_on_arrival`` reads, one list each, and those
-        ``record`` fills; reject flows with a ToR id outside the network, and
-        those the expander takes but cannot route."""
+    def _take(self, flows: FlowTable, batch):
+        """Hold the columns a flow is read from by id, and those ``record``
+        fills; reject flows with a ToR id outside the network, and those the
+        expander takes but cannot route. ``.item`` reads give Python numbers,
+        and lists of ToR ids and class codes hold shared small ints: 8 B a flow."""
         flows._require(np.maximum(flows.src, flows.dst) < self._n,
                        f"ToR ids must be < n = {self._n}")
-        self._src, self._dst, self._size, self._code = (
-            c.tolist() for c in (flows.src, flows.dst, flows.size_bits, flows.flow_class))
+        self._flows, self._size = flows, flows.size_bits
+        self._arrival = np.zeros(len(flows)) if batch else flows.arrival_s
+        self._src, self._dst, self._code = (
+            c.tolist() for c in (flows.src, flows.dst, flows.flow_class))
         self._completion_s = np.zeros(len(flows))
         self._plane = np.full(len(flows), -1, np.int8)   # -1 until the flow completes
         self._hops = np.zeros(len(flows), np.int32)
@@ -698,17 +700,15 @@ class Simulator:
                 raise ValueError(f"no path from {src[i]} to {dst[i]} on the expander")
 
     def _on_arrival(self, fid, t):
-        size = self._size[fid]
-        self.injected_bits += size
-        args = (fid, self._src[fid], self._dst[fid], size, t)
+        self.injected_bits += self._size.item(fid)
         plane = self._plane_of[self._code[fid]]
-        if plane is not None and plane.add(*args):
+        if plane is not None and plane.add(fid, t):
             return
         if self._spill_to is None:
             raise ValueError(f"no plane available for {FLOW_CLASSES[self._code[fid]].value} "
                              "flows (k_s = k_r = 0)")
         self.spill_count += 1
-        self._spill_to.add(*args)
+        self._spill_to.add(fid, t)
 
     def _check_conservation(self):
         residual = 0.0

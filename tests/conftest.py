@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ocsnet.model import FlowTable, NetworkConfig, class_codes, validate
+from ocsnet.simulator import PLANES
 
 
 def flow_table(config, rows):
@@ -12,6 +13,34 @@ def flow_table(config, rows):
     src, dst, size, arrival = zip(*rows) if rows else ((),) * 4
     size = np.asarray(size)
     return FlowTable(src, dst, size, arrival, class_codes(size, config))
+
+
+class PlaneSim:
+    """Stands in for the ``Simulator`` a plane talks to, for tests that
+    drive a plane directly: it holds the columns of ``flows`` that a plane
+    reads by flow id, as ``Simulator`` does for a run, and collects the
+    events the plane schedules and the completions it records."""
+
+    def __init__(self, flows):
+        self._flows, self._size, self._arrival = flows, flows.size_bits, flows.arrival_s
+        self._src, self._dst = flows.src.tolist(), flows.dst.tolist()
+        self.delivered_bits = 0.0
+        self.plane_bits = dict.fromkeys(PLANES, 0.0)
+        self.events = []
+        self.records = {}
+
+    def schedule(self, t, kind, payload):
+        self.events.append((t, kind, payload))
+
+    def record(self, fid, t, plane, hops):
+        self.records[fid] = (t, PLANES[plane], hops)
+
+    @staticmethod
+    def flow(sim, fid):
+        """Flow ``fid``'s ``(src, dst, size)`` from the columns of ``sim``, a
+        ``PlaneSim`` or a running ``Simulator``: the arguments a plane's
+        ``add`` took beside the id and the time before it took the id alone."""
+        return sim._src[fid], sim._dst[fid], sim._size.item(fid)
 
 
 @pytest.fixture

@@ -6,9 +6,11 @@ pair) among every waiting pair whose ports are free on the switch, by
 scanning all waiting pairs or all free port pairs, whichever set is
 smaller, and it keeps a count of waiting flows. ``add`` and ``_start``
 come with it, because they keep that count and the residual the way the
-old ``_refill`` expects. The plane's current ``_refill`` looks only at the
-freed source's row and the freed destination's column, so records, bit
-counts and the order in which circuits start must agree exactly.
+old ``_refill`` expects; the old ``add`` is kept as ``add_flow``, which
+the plane's ``add(fid, now)`` hands the flow's columns. The plane's
+current ``_refill`` looks only at the freed source's row and the freed
+destination's column, so records, bit counts and the order in which
+circuits start must agree exactly.
 """
 from collections import deque
 from contextlib import contextmanager
@@ -19,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from ocsnet import simulator
 from ocsnet.model import NetworkConfig, validate
 
-from conftest import flow_table
+from conftest import PlaneSim, flow_table
 
 
 class OracleCachePlane(simulator._CachePlane):
@@ -27,7 +29,10 @@ class OracleCachePlane(simulator._CachePlane):
         super().__init__(*args)
         self.pending_count = 0
 
-    def add(self, fid, src, dst, size, now):
+    def add(self, fid, now):
+        return self.add_flow(fid, *PlaneSim.flow(self.sim, fid), now)
+
+    def add_flow(self, fid, src, dst, size, now):
         for s in range(self.k_c):
             if src in self.free_src[s] and dst in self.free_dst[s]:
                 self._start(s, fid, src, dst, size, now)

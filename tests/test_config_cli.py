@@ -337,6 +337,15 @@ class TestCommands:
         ("traffic.distribution.kind = two-point-bytes\ntraffic.distribution.size_a_mbit = 0\n"
          "traffic.distribution.size_b_mbit = 1000\ntraffic.distribution.byte_frac_a = 0.5\n",
          "all sizes must be positive and finite"),
+        ("traffic.distribution.kind = two-point-bytes\n"
+         "traffic.distribution.size_a_mbit = 8\n",
+         "traffic.distribution.kind = two-point-bytes needs traffic.distribution.size_b_mbit"),
+        ("traffic.distribution.kind = pareto\ntraffic.distribution.lower_bits = 1\n",
+         "traffic.distribution.kind = pareto needs traffic.distribution.shape"),
+        ("traffic.distribution.kind = file\n",
+         "traffic.distribution.kind = file needs traffic.distribution.file"),
+        ("traffic.distribution.kind = file\ntraffic.distribution.file = no/such.csv\n",
+         "traffic.distribution.file 'no/such.csv': No such file or directory"),
     ])
     @pytest.mark.parametrize("command", [
         ["analyze", "--sweep", "load_x=0.5:0.5:0.1", "--seeds", "1"],

@@ -29,6 +29,8 @@ from ocsnet import config_io, simulator, traffic
 from ocsnet.model import NetworkConfig, validate
 from ocsnet.topology import ExpanderGraph, build_expander
 
+from conftest import PlaneSim, flow_table
+
 
 def oracle_fill(flows, capacity):
     """Progressive filling by a full rescan of the loaded edges per level."""
@@ -118,10 +120,14 @@ def _plane(n, k_s, graph_seed, rng_seed):
     return _plane_on(build_expander(n, k_s, graph_seed), rng_seed)
 
 
+def _config(graph):
+    return validate(NetworkConfig(n=graph.n, k_s=graph.degree, k_r=0, k_c=0,
+                                  r=10e9, delta=100e-6, R_r=10e-6, R_c=15e-3))
+
+
 def _plane_on(graph, rng_seed=0):
-    config = validate(NetworkConfig(n=graph.n, k_s=graph.degree, k_r=0, k_c=0,
-                                    r=10e9, delta=100e-6, R_r=10e-6, R_c=15e-3))
-    return simulator._ExpanderPlane(graph, config, np.random.default_rng(rng_seed), None)
+    rng = np.random.default_rng(rng_seed)
+    return simulator._ExpanderPlane(graph, _config(graph), rng, None)
 
 
 def _flows(paths):
@@ -263,26 +269,10 @@ def test_streamed_default_mix_is_unchanged_under_the_oracle(monkeypatch):
     assert shipped.dct_s == oracle.dct_s
 
 
-class _SimStub:
-    """What the expander plane reads and writes on its simulator."""
-
-    def __init__(self):
-        self.delivered_bits = 0.0
-        self.plane_bits = {"expander": 0.0}
-        self.events = []
-        self.records = {}
-
-    def schedule(self, t, kind, payload):
-        self.events.append((t, kind, payload))
-
-    def record(self, fid, t, plane, hops):
-        self.records[fid] = (t, simulator.PLANES[plane], hops)
-
-
-def _driven_plane(n, k_s, graph_seed, rng_seed):
-    plane = _plane(n, k_s, graph_seed, rng_seed)
-    plane.sim = _SimStub()
-    return plane
+def _drive(plane, flows):
+    """Give ``plane`` a stand-in simulator holding the flows ``(src, dst,
+    size_bits)``, all at arrival 0.0: the expander reads no arrival."""
+    plane.sim = PlaneSim(flow_table(_config(plane.graph), [(*f, 0.0) for f in flows]))
 
 
 def _fill(plane):
@@ -312,8 +302,8 @@ def _assert_fresh(plane):
 def test_local_refilling_matches_a_fresh_filling_of_every_flow(data):
     n = data.draw(st.integers(3, 16), label="n")
     k_s = data.draw(st.integers(1, min(4, n - 1)), label="k_s")
-    plane = _driven_plane(n, k_s, data.draw(st.integers(0, 999), label="graph_seed"),
-                          data.draw(st.integers(0, 999), label="rng_seed"))
+    plane = _plane(n, k_s, data.draw(st.integers(0, 999), label="graph_seed"),
+                   data.draw(st.integers(0, 999), label="rng_seed"))
     if data.draw(st.booleans(), label="redraw_caps"):
         plane.capacity = {e: data.draw(_CAPS) for e in sorted(plane.capacity)}
     pairs = [(s, d) for s in range(n) for d in range(n)
@@ -321,12 +311,13 @@ def test_local_refilling_matches_a_fresh_filling_of_every_flow(data):
     op = st.tuples(st.sampled_from(["add", "add", "finish", "next"]),
                    st.sampled_from(pairs), st.floats(1e3, 1e6), st.floats(0.0, 1e-4),
                    st.sets(st.integers(0, 99), min_size=1, max_size=3))
+    ops = data.draw(st.lists(op, min_size=20, max_size=80), label="ops")
+    _drive(plane, [(*pair, size) for kind, pair, size, _, _ in ops if kind == "add"])
     now, fid = 0.0, 0
-    for kind, pair, size, dt, picks in data.draw(st.lists(op, min_size=20, max_size=80),
-                                                 label="ops"):
+    for kind, _, _, dt, picks in ops:
         if kind == "add":
             now += dt
-            plane.add(fid, *pair, size, now)
+            plane.add(fid, now)
             _fill(plane)
             fid += 1
         elif not plane.flows:
@@ -355,13 +346,14 @@ _BRIDGED_CAPS = {8 * u + v: c for (u, v), c in {
 
 def _add_on_path(plane, fid, path):
     plane._sample_path = lambda src, dst: path
-    plane.add(fid, path[0], path[-1], 1e6, 0.0)
+    plane.add(fid, 0.0)
 
 
 def _bridged_plane(monkeypatch):
     """The plane with f0-f4 added, and the ids of the flows each filling
     set a rate on."""
-    plane = _driven_plane(8, 2, 0, 0)
+    plane = _plane(8, 2, 0, 0)
+    _drive(plane, [(p[0], p[-1], 1e6) for p in _COMPONENTS + [_BRIDGE]])
     plane.capacity = dict(_BRIDGED_CAPS)
     filled, fill = [], simulator._max_min_fill
 

@@ -8,6 +8,8 @@ flows. The plane now admits relay bits for all spare sources of a
 matching in one 2-D pass and keeps the pair FIFOs in a flow log, so after
 every slot the queues, the relay parking, the delivered bits and the
 relay chunk FIFOs must be equal bit for bit, and so must the records.
+The oracle's ``add`` takes the flow id, as the planes now do, and hands
+the flow's columns to the old ``add``, kept as ``add_flow``.
 
 Sizes are not whole numbers of bits, and neither is the paper profile's
 slot (``delta * r`` = 999999.9999999999 bits), so float rounding shows
@@ -24,7 +26,7 @@ from hypothesis import given, settings, strategies as st
 from ocsnet import simulator
 from ocsnet.model import NetworkConfig, validate
 
-from conftest import flow_table
+from conftest import PlaneSim, flow_table
 
 
 class OracleRotorPlane:
@@ -58,7 +60,10 @@ class OracleRotorPlane:
         self.scheduled = False
         self._ids = np.arange(n)
 
-    def add(self, fid, src, dst, size, now):
+    def add(self, fid, now):
+        return self.add_flow(fid, *PlaneSim.flow(self.sim, fid), now)
+
+    def add_flow(self, fid, src, dst, size, now):
         self.pending.append((now, src, dst, float(size), fid))
         self.pending_bits += size
         if not self.scheduled:

@@ -135,6 +135,20 @@ class TestRun:
         assert res.delivered_bits == pytest.approx(res.injected_bits, rel=1e-9)
         assert res.injected_bits == sum(f.size_bits for f in flows)
 
+    @pytest.mark.parametrize("batch", [True, False])
+    def test_bit_counts_stay_python_floats(self, batch):
+        # a numpy scalar read from a column makes every sum it enters a
+        # numpy operation, ~30 times slower and otherwise unnoticed; int
+        # sizes, as generate makes them, on all three planes and one spill
+        cfg = cfg_of(8, 2, 2, 1, R_c=1e-3, large_threshold_bits=5e6)
+        flows = flow_table(cfg, [(0, 1, 100_000, 0.0), (2, 3, 2_000_000, 1e-4),
+                                 (4, 5, 10_000_000, 0.0), (4, 6, 10_000_000, 2e-4)])
+        res = simulator.Simulator(cfg, cache_policy="spill").run(flows, batch=batch)
+        assert res.completed and res.spill_count == 1
+        assert {rec.plane for rec in res.records} == {"rotor", "cache", "expander"}
+        for bits in (res.injected_bits, res.delivered_bits, *res.plane_bits.values()):
+            assert type(bits) is float
+
     def test_plane_bits_add_up_to_delivered_bits(self):
         cfg = cfg_of(16, 2, 8, 2)
         spec = TrafficSpec("uniform", 0.4, _mixed_dist(cfg), window_s=0.004, seed=3)
@@ -416,10 +430,12 @@ def _count_events(monkeypatch):
     return counts
 
 
-def test_records_hold_at_most_50_bytes_per_flow():
-    # hybrid-batch's network and mix at a 0.1 s window: 31,526 flows
+def _traced_hybrid_batch(window_s):
+    """``run_batch`` on hybrid-batch's network and mix at ``window_s``, under
+    tracemalloc: the flow count and the bytes the run held at its end and
+    at its peak."""
     mapping = config_io.load_config(WORKLOADS / "hybrid-batch.conf",
-                                    overrides={"traffic.window_s": 0.1})
+                                    overrides={"traffic.window_s": window_s})
     cfg, spec = config_io.network_config(mapping), config_io.traffic_spec(mapping)
     flows = generate(spec, cfg)
     graph = build_expander(cfg.n, cfg.k_s, 0)
@@ -429,11 +445,26 @@ def test_records_hold_at_most_50_bytes_per_flow():
         before = tracemalloc.get_traced_memory()[0]
         res = simulator.run_batch(cfg, flows, seed=spec.seed, expander=graph)
         gc.collect()   # the planes and their simulator refer to each other
-        held = tracemalloc.get_traced_memory()[0] - before
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(flows) == 31526 and res.completed
-    assert held / len(flows) <= 50
+    assert res.completed
+    return len(flows), held - before, peak - before
+
+
+def test_records_hold_at_most_50_bytes_per_flow():
+    n, held, _ = _traced_hybrid_batch(0.1)
+    assert n == 31526
+    assert held / n <= 50
+
+
+def test_run_batch_peaks_at_most_200_bytes_per_flow():
+    # 159 B/flow while the planes keep flow ids and read the rest from the
+    # simulator's columns; a Python list of sizes and per-flow tuples of
+    # src, dst and size in the queues come to ~270 B/flow
+    n, _, peak = _traced_hybrid_batch(0.3)
+    assert n == 94494
+    assert peak / n <= 200
 
 
 class TestProperties:
