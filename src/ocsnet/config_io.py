@@ -108,14 +108,26 @@ def load_config(path=None, profile="paper-numeric", overrides=None) -> dict:
     return merged
 
 
+def _whole(key, value):
+    """``value`` as an int; anything but a whole number raises ValueError
+    naming ``key``, where ``int`` would truncate it."""
+    try:
+        if float(value).is_integer():
+            return int(value)
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"{key} must be a whole number, got {value!r}")
+
+
 def network_config(mapping) -> NetworkConfig:
     """Materialize and validate a NetworkConfig from a parsed mapping."""
     get = lambda k, d=None: base_value(k, mapping[k]) if k in mapping else d
+    count = lambda name: _whole(f"network.{name}", mapping[f"network.{name}"])
     cfg = NetworkConfig(
-        n=int(mapping["network.n"]),
-        k_s=int(mapping["network.k_s"]),
-        k_r=int(mapping["network.k_r"]),
-        k_c=int(mapping["network.k_c"]),
+        n=count("n"),
+        k_s=count("k_s"),
+        k_r=count("k_r"),
+        k_c=count("k_c"),
         r=get("link.rate_gbps"),
         delta=get("timing.slot_us"),
         R_r=get("timing.rotor_reconfig_us"),
@@ -168,5 +180,5 @@ def traffic_spec(mapping, seed=None) -> TrafficSpec:
         distribution=distribution(mapping),
         per_tor_rate_L=float(mapping.get("traffic.per_tor_rate_l", 1.0)),
         window_s=float(mapping.get("traffic.window_s", 1.0)),
-        seed=int(mapping.get("traffic.seed", 0) if seed is None else seed),
+        seed=_whole("traffic.seed", mapping.get("traffic.seed", 0) if seed is None else seed),
     )

@@ -61,6 +61,8 @@ def validate(config: NetworkConfig) -> NetworkConfig:
     c = config
     if c.n < 2:
         raise ValueError(f"n must be >= 2, got {c.n}")
+    if not 0 <= c.threshold_phi <= 1:   # also rejects nan
+        raise ValueError(f"threshold_phi must lie in [0, 1], got {c.threshold_phi}")
     finite = ("r", "delta", "R_r", "R_c", "medium_threshold_bits")
     for name in finite + ("large_threshold_bits",):
         value = getattr(c, name)

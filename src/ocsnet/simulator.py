@@ -76,13 +76,15 @@ class _RotorPlane:
     source reaches k_r distinct destinations each slot. Relay parking
     space is capped at one slot-full per (relay, destination) pair.
 
-    Each (src, dst) pair keeps its admitted flows in a FIFO threaded
-    through a flow log: log entry f holds the flow id ``log_fid[f]``, the
-    pair's admitted bits up to and including that flow ``log_target[f]``,
-    and the pair's next entry ``log_next[f]`` (-1 for none). ``head`` and
-    ``tail``, indexed by ``src * n + dst``, hold a pair's oldest waiting
-    entry (-1 when none waits) and its last admitted entry. Entry 0 is a
-    sink that every pair's tail starts at; its next entry is never read.
+    ``add`` appends each flow to a flow log: entry f holds the flow id
+    ``log_fid[f]`` and the pair's bits up to and including that flow
+    ``log_target[f]``. Entries from ``n_admitted`` on wait for their slot;
+    ``_admit`` threads the admitted ones into a FIFO per (src, dst) pair
+    through ``log_next[f]``, the pair's next entry (-1 for none). ``head``
+    and ``tail``, indexed by ``src * n + dst``, hold a pair's oldest
+    undelivered entry (-1 when none is left) and its last admitted entry.
+    Entry 0 is a sink that every pair's tail starts at; its next entry is
+    never read. The log doubles when full.
     """
 
     def __init__(self, config: NetworkConfig, sim):
@@ -105,10 +107,9 @@ class _RotorPlane:
         self.log_fid = np.zeros(1, dtype=np.int64)
         self.log_target = np.zeros(1)
         self.log_next = np.zeros(1, dtype=np.int64)
-        self.n_log = 1
+        self.n_log = self.n_admitted = 1   # the first add grows the log
         self.pair_total = [0.0] * (n * n)   # bits added so far per pair
-        self.pending = []   # fid, target per flow in add order, flat: fewer GC passes
-        self.pending_bits = 0.0
+        self.pending_bits = 0.0             # bits of the waiting entries
         self.in_network = 0.0           # queue + relay bits, as of the last slot end
         self.scheduled = False
         self._ids = np.arange(n)
@@ -118,10 +119,16 @@ class _RotorPlane:
                                                    self.delivered))
 
     def add(self, fid, now):
-        sim = self.sim
-        pair, bits = sim._src[fid] * self.n + sim._dst[fid], sim._size.item(fid)
+        sim, f = self.sim, self.n_log
+        pair, bits = sim._src[fid] * self.n + sim._dst[fid], sim._size[fid]
         self.pair_total[pair] += bits
-        self.pending.extend((fid, self.pair_total[pair]))
+        if f == self.log_fid.size:   # double the log
+            self.log_fid, self.log_target, self.log_next = (
+                np.concatenate((a, np.zeros_like(a)))
+                for a in (self.log_fid, self.log_target, self.log_next))
+            self._fids, self._targets = memoryview(self.log_fid), memoryview(self.log_target)
+        self._fids[f], self._targets[f] = fid, self.pair_total[pair]
+        self.n_log = f + 1
         self.pending_bits += bits
         if not self.scheduled:
             slot = math.ceil(max(now, 0.0) / self.period - 1e-12)
@@ -136,7 +143,7 @@ class _RotorPlane:
 
     def on_event(self, slot, t_end):
         slot_start = t_end - self.delta
-        if self.pending:
+        if self.n_admitted < self.n_log:
             self._admit(slot_start)
         for s in range(self.k_r):
             shift = (slot + s) % self.n_match + 1
@@ -150,51 +157,40 @@ class _RotorPlane:
             self.scheduled = False
 
     def _admit(self, slot_start):
-        """Queue the pending flows that arrived by ``slot_start`` and append
-        them to their pairs' FIFOs.
+        """Queue the waiting flows that arrived by ``slot_start`` and link
+        their log entries into their pairs' FIFOs.
 
-        Flows are added in arrival order, so these are a prefix of
-        ``pending`` and are admitted in add order: the target ``add`` summed
-        for each is the sum one ``+=`` per admitted flow of its pair gives.
-        ``np.add.at`` adds repeated pairs in index order, so each queue
-        entry gets the same float sums as one ``+=`` per flow.
+        Flows are added in arrival order, so these are a prefix of the
+        waiting entries and are admitted in add order: the target ``add``
+        summed for each is the sum one ``+=`` per admitted flow of its pair
+        gives. ``np.add.at`` adds repeated pairs in index order, so each
+        queue entry gets the same float sums as one ``+=`` per flow.
         ``pending_bits`` is reduced by a left-to-right cumsum, which
         subtracts in the same order.
         """
-        sim = self.sim
-        fid, target = np.fromiter(self.pending, float, len(self.pending)).reshape(-1, 2).T
-        k = sim._arrival[fid.astype(np.int64)].searchsorted(slot_start + 1e-12, side="right")
+        flows, lo = self.sim._flows, self.n_admitted
+        fid = self.log_fid[lo:self.n_log]
+        k = flows.arrival_s[fid].searchsorted(slot_start + 1e-12, side="right")
         if not k:
             return
-        del self.pending[:2 * k]
-        fid, target = fid[:k].astype(np.int64), target[:k]
-        pair = sim._flows.src[fid] * np.int64(self.n) + sim._flows.dst[fid]
-        bits = sim._size[fid].astype(float)
+        self.n_admitted += k
+        fid = fid[:k]
+        pair = flows.src[fid] * np.int64(self.n) + flows.dst[fid]
+        bits = flows.size_bits[fid].astype(float)
         self.pending_bits = float(np.cumsum(np.r_[self.pending_bits, -bits])[-1])
         np.add.at(self._flat[0], pair, bits)
 
         order = np.argsort(pair, kind="stable")
-        pair, fid, target = pair[order], fid[order], target[order]
+        pair, idx = pair[order], lo + order
         first = np.flatnonzero(np.r_[True, pair[1:] != pair[:-1]])
         last = np.r_[first[1:], pair.size] - 1
         keys = pair[first]
-
-        base = self.n_log
-        self.n_log += pair.size
-        if self.n_log > self.log_fid.size:
-            grow = max(self.n_log, 2 * self.log_fid.size) - self.log_fid.size
-            self.log_fid, self.log_target, self.log_next = (
-                np.concatenate((a, np.zeros(grow, a.dtype)))
-                for a in (self.log_fid, self.log_target, self.log_next))
-        idx = base + np.arange(pair.size)
-        self.log_fid[idx] = fid
-        self.log_target[idx] = target
-        self.log_next[idx] = idx + 1
+        self.log_next[idx[:-1]] = idx[1:]
         self.log_next[idx[last]] = -1
         self.log_next[self.tail[keys]] = idx[first]
         empty = self.head[keys] < 0
         self.head[keys[empty]] = idx[first[empty]]
-        self.next_target[keys[empty]] = target[first[empty]]
+        self.next_target[keys[empty]] = self.log_target[idx[first[empty]]]
         self.tail[keys] = idx[last]
 
     def _serve_switch(self, shift):
@@ -330,31 +326,31 @@ class _CachePlane:
         self.residual = 0.0
 
     def add(self, fid, now):
-        src, dst = self.sim._src[fid], self.sim._dst[fid]
+        sim = self.sim
+        src, dst, size = sim._src[fid], sim._dst[fid], sim._size[fid]
         if self.n_free_src[src] and self.n_free_dst[dst]:
             for s in range(self.k_c):
                 if src in self.free_src[s] and dst in self.free_dst[s]:
-                    self._start(s, fid, src, dst, now)
-                    self.residual += self.sim._size.item(fid)
+                    self._start(s, fid, src, dst, size, now)
+                    self.residual += size
                     return True
         if self.spill:
             return False
         self.pending.setdefault((src, dst), deque()).append(fid)
-        self.residual += self.sim._size.item(fid)
+        self.residual += size
         return True
 
-    def _start(self, s, fid, src, dst, now):
+    def _start(self, s, fid, src, dst, size, now):
         self.free_src[s].discard(src)
         self.free_dst[s].discard(dst)
         self.n_free_src[src] -= 1
         self.n_free_dst[dst] -= 1
-        done = now + self.R_c + self.sim._size.item(fid) / self.r
-        self.sim.schedule(done, "cache_done", (s, fid))
+        self.sim.schedule(now + self.R_c + size / self.r, "cache_done", (s, fid))
 
     def on_event(self, payload, now):
         s, fid = payload
         sim = self.sim
-        src, dst, size = sim._src[fid], sim._dst[fid], sim._size.item(fid)
+        src, dst, size = sim._src[fid], sim._dst[fid], sim._size[fid]
         self.residual -= size
         sim.delivered_bits += size
         sim.plane_bits["cache"] += size
@@ -370,6 +366,7 @@ class _CachePlane:
         the ports ``src`` and ``dst``, just freed on switch s, let start:
         at most one from each."""
         fs, fd, pending = self.free_src[s], self.free_dst[s], self.pending
+        arrival, size = self.sim._arrival, self.sim._size
         while pending:
             candidates = []
             if src in fs:
@@ -378,11 +375,11 @@ class _CachePlane:
                 candidates += [(i, dst) for i in fs if (i, dst) in pending]
             if not candidates:
                 return
-            key = min(candidates, key=lambda k: (self.sim._arrival.item(pending[k][0]), k))
+            key = min(candidates, key=lambda k: (arrival[pending[k][0]], k))
             fid = pending[key].popleft()
             if not pending[key]:
                 del pending[key]
-            self._start(s, fid, *key, now)
+            self._start(s, fid, *key, size[fid], now)
 
 
 def _max_min_fill(flows, on_edge, capacity, edges):
@@ -468,7 +465,7 @@ class _ExpanderPlane:
     def add(self, fid, now):
         path = self._sample_path(self.sim._src[fid], self.sim._dst[fid])
         edges = [u * self.n + v for u, v in zip(path[:-1], path[1:])]
-        size = self.sim._size.item(fid)
+        size = self.sim._size[fid]
         self.flows[fid] = [float(size), 0.0, edges]
         for e in edges:
             self.on_edge.setdefault(e, set()).add(fid)
@@ -610,6 +607,7 @@ class Simulator:
         self._plane_of_event = {"rotor_slot": self.rotor, "cache_done": self.cache,
                                 "expander": self.expander}
         self._clock = 0.0
+        self._flows = None   # the FlowTable of the one run
 
     def schedule(self, t, kind, payload):
         """Queue an event. Arrival i, whose payload is i, sorts as ``(t, i)``;
@@ -627,26 +625,24 @@ class Simulator:
         self._plane[fid] = plane
         self._hops[fid] = hops
 
-    def run(self, flows: FlowTable, *, batch=False) -> SimResult:
-        """Serve ``flows`` until all complete or the horizon passes.
+    def run(self, flows: FlowTable) -> SimResult:
+        """Serve ``flows`` until all complete or the horizon passes; a
+        ``Simulator`` runs once.
 
-        ``batch`` serves every flow as arriving at 0.0. Arrivals enter the
-        heap one at a time in ``(arrival_s, index)`` order, the next one
-        when the previous one pops, so the heap holds the events of the
-        flows in flight, and events pop in the same order as if every
-        arrival had been pushed up front.
+        Arrivals enter the heap one at a time in ``(arrival_s, index)``
+        order, the next one when the previous one pops, so the heap holds
+        the events of the flows in flight, and events pop in the same order
+        as if every arrival had been pushed up front.
         """
-        self._take(flows, batch)
-        # stable, so tied arrivals keep id order, as all do under batch; read
-        # as Python ints a chunk at a time, not as one list of 36 B a flow
-        order = (i for ids in np.split(np.argsort(self._arrival, kind="stable"),
-                                       range(1024, len(flows), 1024)) for i in ids.tolist())
+        self._take(flows)
+        # stable, so tied arrivals keep id order; the view reads Python ints
+        order = iter(memoryview(np.argsort(flows.arrival_s, kind="stable")))
         self._seq = len(flows)
 
         def schedule_next_arrival():
             i = next(order, None)
             if i is not None:
-                self.schedule(self._arrival.item(i), "arrival", i)
+                self.schedule(self._arrival[i], "arrival", i)
 
         schedule_next_arrival()
         completed = True
@@ -664,7 +660,7 @@ class Simulator:
             if self.audit:
                 self._check_conservation()
         done = np.flatnonzero(self._plane >= 0)
-        records = Records(done, self._arrival[done], self._completion_s[done],
+        records = Records(done, flows.arrival_s[done], self._completion_s[done],
                           self._plane[done], self._hops[done])
         return SimResult(
             dct_s=float(records.completion_s.max(initial=0.0)),
@@ -676,17 +672,18 @@ class Simulator:
             plane_bits=dict(self.plane_bits),
         )
 
-    def _take(self, flows: FlowTable, batch):
-        """Hold the columns a flow is read from by id, and those ``record``
-        fills; reject flows with a ToR id outside the network, and those the
-        expander takes but cannot route. ``.item`` reads give Python numbers,
-        and lists of ToR ids and class codes hold shared small ints: 8 B a flow."""
+    def _take(self, flows: FlowTable):
+        """Hold ``flows``, memoryviews over its columns, which read a flow's
+        fields by id as Python numbers with no per-flow copy, and the columns
+        ``record`` fills; reject a second run, flows with a ToR id outside
+        the network, and those the expander takes but cannot route."""
+        if self._flows is not None:
+            raise RuntimeError("this Simulator has already run; make a new one for each run")
+        self._flows = flows
         flows._require(np.maximum(flows.src, flows.dst) < self._n,
                        f"ToR ids must be < n = {self._n}")
-        self._flows, self._size = flows, flows.size_bits
-        self._arrival = np.zeros(len(flows)) if batch else flows.arrival_s
-        self._src, self._dst, self._code = (
-            c.tolist() for c in (flows.src, flows.dst, flows.flow_class))
+        self._src, self._dst, self._size, self._arrival, self._code = map(
+            memoryview, flows._columns())
         self._completion_s = np.zeros(len(flows))
         self._plane = np.full(len(flows), -1, np.int8)   # -1 until the flow completes
         self._hops = np.zeros(len(flows), np.int32)
@@ -700,7 +697,7 @@ class Simulator:
                 raise ValueError(f"no path from {src[i]} to {dst[i]} on the expander")
 
     def _on_arrival(self, fid, t):
-        self.injected_bits += self._size.item(fid)
+        self.injected_bits += self._size[fid]
         plane = self._plane_of[self._code[fid]]
         if plane is not None and plane.add(fid, t):
             return
@@ -732,6 +729,9 @@ def run_batch(config: NetworkConfig, flows: FlowTable, **kwargs) -> SimResult:
 
     This matches the completion-time metric, which clocks the time to
     drain the demand collected over a window, not the streaming tail.
-    ``flows`` is not copied; the records carry arrival 0.0.
+    The run reads ``flows``' columns, not copies, beside a column of zero
+    arrivals, which the records carry.
     """
-    return Simulator(config, **kwargs).run(flows, batch=True)
+    at_zero = FlowTable(flows.src, flows.dst, flows.size_bits, np.zeros(len(flows)),
+                        flows.flow_class)
+    return Simulator(config, **kwargs).run(at_zero)

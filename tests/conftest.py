@@ -15,15 +15,24 @@ def flow_table(config, rows):
     return FlowTable(src, dst, size, arrival, class_codes(size, config))
 
 
+def at_time_zero(flows):
+    """``flows`` with every arrival at 0.0, the table ``simulator.run_batch``
+    builds and serves: the other columns are shared, not copied."""
+    return FlowTable(flows.src, flows.dst, flows.size_bits, np.zeros(len(flows)),
+                     flows.flow_class)
+
+
 class PlaneSim:
     """Stands in for the ``Simulator`` a plane talks to, for tests that
-    drive a plane directly: it holds the columns of ``flows`` that a plane
-    reads by flow id, as ``Simulator`` does for a run, and collects the
-    events the plane schedules and the completions it records."""
+    drive a plane directly: it holds ``flows`` and memoryviews over its
+    columns, which a plane reads by flow id, as ``Simulator`` does for a
+    run, and collects the events the plane schedules and the completions
+    it records."""
 
     def __init__(self, flows):
-        self._flows, self._size, self._arrival = flows, flows.size_bits, flows.arrival_s
-        self._src, self._dst = flows.src.tolist(), flows.dst.tolist()
+        self._flows = flows
+        self._src, self._dst, self._size, self._arrival, self._code = map(
+            memoryview, flows._columns())
         self.delivered_bits = 0.0
         self.plane_bits = dict.fromkeys(PLANES, 0.0)
         self.events = []
@@ -40,7 +49,7 @@ class PlaneSim:
         """Flow ``fid``'s ``(src, dst, size)`` from the columns of ``sim``, a
         ``PlaneSim`` or a running ``Simulator``: the arguments a plane's
         ``add`` took beside the id and the time before it took the id alone."""
-        return sim._src[fid], sim._dst[fid], sim._size.item(fid)
+        return sim._src[fid], sim._dst[fid], sim._size[fid]
 
 
 @pytest.fixture

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from ocsnet import simulator
 from ocsnet.model import NetworkConfig, validate
 
-from conftest import PlaneSim, flow_table
+from conftest import PlaneSim, at_time_zero, flow_table
 
 
 class OracleCachePlane(simulator._CachePlane):
@@ -119,7 +119,7 @@ class CheckedSimulator(simulator.Simulator):
 
 def run_checked(cfg, flows, batch, **kwargs):
     sim = CheckedSimulator(cfg, **kwargs)
-    return sim.run(flows, batch=batch), sim.starts
+    return sim.run(at_time_zero(flows) if batch else flows), sim.starts
 
 
 def cfg_of(n, k_r, k_c):

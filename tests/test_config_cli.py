@@ -70,6 +70,24 @@ class TestProfiles:
         with pytest.raises(ValueError, match="profile"):
             config_io.load_config(profile="nope")
 
+    @pytest.mark.parametrize("key", ["network.n", "network.k_s", "network.k_r",
+                                     "network.k_c", "traffic.seed"])
+    @pytest.mark.parametrize("value", [16.7, 4.9, 0.5, math.nan, math.inf, "abc"])
+    def test_fractional_count_rejected(self, key, value):
+        mapping = config_io.load_config(overrides={key: value})
+        with pytest.raises(ValueError, match=f"^{key} must be a whole number, got "):
+            config_io.network_config(mapping)
+            config_io.traffic_spec(mapping)
+
+    def test_whole_count_written_as_a_float_allowed(self):
+        mapping = config_io.load_config(overrides={
+            "network.n": 16.0, "network.k_s": 2.0, "network.k_r": 4.0,
+            "network.k_c": 4.0, "traffic.seed": 3.0})
+        cfg = config_io.network_config(mapping)
+        assert (cfg.n, cfg.k_s, cfg.k_r, cfg.k_c) == (16, 2, 4, 4)
+        assert all(type(v) is int for v in (cfg.n, cfg.k_s, cfg.k_r, cfg.k_c))
+        assert config_io.traffic_spec(mapping).seed == 3
+
     def test_file_overrides_profile(self, tmp_path):
         p = tmp_path / "cfg.txt"
         p.write_text("network.n = 16\n")
@@ -346,6 +364,18 @@ class TestCommands:
          "traffic.distribution.kind = file needs traffic.distribution.file"),
         ("traffic.distribution.kind = file\ntraffic.distribution.file = no/such.csv\n",
          "traffic.distribution.file 'no/such.csv': No such file or directory"),
+        ("thresholds.phi = 1.5\n", "threshold_phi must lie in [0, 1], got 1.5"),
+        ("thresholds.phi = nan\n", "threshold_phi must lie in [0, 1], got nan"),
+        ("thresholds.phi = -0.5\n", "threshold_phi must lie in [0, 1], got -0.5"),
+        # a small network and window, so that a truncating reader finishes fast
+        ("network.n = 16.7\nnetwork.k_r = 4.9\ntraffic.window_s = 2e-3\n",
+         "network.n must be a whole number, got 16.7"),
+        ("network.n = 16\nnetwork.k_r = 4.9\ntraffic.window_s = 2e-3\n",
+         "network.k_r must be a whole number, got 4.9"),
+        ("network.n = 16\nnetwork.k_c = 2.5\ntraffic.window_s = 2e-3\n",
+         "network.k_c must be a whole number, got 2.5"),
+        ("network.n = 16\ntraffic.seed = 0.5\ntraffic.window_s = 2e-3\n",
+         "traffic.seed must be a whole number, got 0.5"),
     ])
     @pytest.mark.parametrize("command", [
         ["analyze", "--sweep", "load_x=0.5:0.5:0.1", "--seeds", "1"],

@@ -38,7 +38,7 @@ class EagerSimulator(simulator.Simulator):
         self._seq += 1
 
     def run(self, flows) -> SimResult:
-        self._take(flows, batch=False)   # every flow at its own arrival time
+        self._take(flows)
         for i, t in enumerate(flows.arrival_s.tolist()):
             self.schedule(t, "arrival", i)
         completed = True

@@ -77,6 +77,17 @@ class TestValidate:
         with pytest.raises(ValueError, match="^large_threshold_bits must be a number"):
             validate(base_config(large_threshold_bits=math.nan))
 
+    @pytest.mark.parametrize("phi", [-0.25, 1.5, math.nan, math.inf])
+    def test_threshold_phi_outside_the_unit_interval_rejected(self, phi):
+        # checked even with the large threshold given, which phi would not change
+        for large in (None, 1e9):
+            with pytest.raises(ValueError, match=r"^threshold_phi must lie in \[0, 1\]"):
+                validate(base_config(threshold_phi=phi, large_threshold_bits=large))
+
+    @pytest.mark.parametrize("phi", [0.0, 0.5, 1.0])
+    def test_threshold_phi_in_the_unit_interval_allowed(self, phi):
+        assert validate(base_config(threshold_phi=phi)).threshold_phi == phi
+
     def test_infinite_large_threshold_allowed(self):
         assert validate(base_config(large_threshold_bits=math.inf)).large_threshold_bits \
             == math.inf

@@ -26,7 +26,7 @@ from hypothesis import given, settings, strategies as st
 from ocsnet import simulator
 from ocsnet.model import NetworkConfig, validate
 
-from conftest import PlaneSim, flow_table
+from conftest import PlaneSim, at_time_zero, flow_table
 
 
 class OracleRotorPlane:
@@ -222,7 +222,7 @@ def run_logged(plane, cfg, flows, batch):
     simulator._RotorPlane = snapshotting(plane)
     try:
         sim = simulator.Simulator(cfg)
-        return sim.run(flows, batch=batch), sim.rotor.states
+        return sim.run(at_time_zero(flows) if batch else flows), sim.rotor.states
     finally:
         simulator._RotorPlane = original
 
