@@ -84,7 +84,8 @@ class _RotorPlane:
     and ``tail``, indexed by ``src * n + dst``, hold a pair's oldest
     undelivered entry (-1 when none is left) and its last admitted entry.
     Entry 0 is a sink that every pair's tail starts at; its next entry is
-    never read. The log doubles when full.
+    never read. ``reserve`` sizes the log for the flows whose class maps to
+    the rotors; it doubles when large flows spilled here fill it.
     """
 
     def __init__(self, config: NetworkConfig, sim):
@@ -107,7 +108,7 @@ class _RotorPlane:
         self.log_fid = np.zeros(1, dtype=np.int64)
         self.log_target = np.zeros(1)
         self.log_next = np.zeros(1, dtype=np.int64)
-        self.n_log = self.n_admitted = 1   # the first add grows the log
+        self.n_log = self.n_admitted = 1
         self.pair_total = [0.0] * (n * n)   # bits added so far per pair
         self.pending_bits = 0.0             # bits of the waiting entries
         self.in_network = 0.0           # queue + relay bits, as of the last slot end
@@ -118,11 +119,18 @@ class _RotorPlane:
         self._flat = tuple(a.reshape(-1) for a in (self.queue, self.relay_total,
                                                    self.delivered))
 
+    def reserve(self, n_flows):
+        """Size the flow log for ``n_flows`` flows and the sink."""
+        self.log_fid, self.log_target, self.log_next = (
+            np.zeros(n_flows + 1, a.dtype)
+            for a in (self.log_fid, self.log_target, self.log_next))
+        self._fids, self._targets = memoryview(self.log_fid), memoryview(self.log_target)
+
     def add(self, fid, now):
         sim, f = self.sim, self.n_log
         pair, bits = sim._src[fid] * self.n + sim._dst[fid], sim._size[fid]
         self.pair_total[pair] += bits
-        if f == self.log_fid.size:   # double the log
+        if f == self.log_fid.size:   # spilled large flows filled it: double it
             self.log_fid, self.log_target, self.log_next = (
                 np.concatenate((a, np.zeros_like(a)))
                 for a in (self.log_fid, self.log_target, self.log_next))
@@ -294,7 +302,8 @@ class _RotorPlane:
 
 
 class _CachePlane:
-    """Per-switch port bookkeeping plus a FIFO of waiting large flows.
+    """Per-switch port bookkeeping plus a FIFO of waiting large flows per
+    (src, dst) pair.
 
     With ``spill`` set, a flow that finds no free port pair is refused
     rather than queued.
@@ -304,11 +313,22 @@ class _CachePlane:
     release frees ports, one source and one destination on one switch. So
     every pair that can start after a release sends from the freed source
     or to the freed destination, and ``_refill`` looks only at that row and
-    that column.
+    that column: ``wait_dst[src] & free_dst[s]`` and ``wait_src[dst] &
+    free_src[s]``.
 
+    A waiting pair ``src * n + dst`` has its oldest flow in ``head`` and its
+    newest in ``tail``; each waiting flow's successor in its pair's FIFO is
+    ``next_fid[fid]`` (-1 for none). ``wait_dst[i]`` holds the destinations
+    j and ``wait_src[j]`` the sources i of the pairs (i, j) in ``head``.
     ``n_free_src[i]`` and ``n_free_dst[j]`` count the switches on which
     source i and destination j are free; ``add`` scans the switches only
     when both are nonzero, since otherwise none can take the flow.
+
+    Circuits that end at one instant are released by one ``cache_done``
+    event whose payload lists their ``(switch, fid)`` in start order.
+    ``_start`` adds a circuit to the open batch only while no other event
+    has been scheduled since the batch's was, so every event pops in the
+    same order as with one event per circuit.
     """
 
     def __init__(self, config: NetworkConfig, sim, spill):
@@ -317,13 +337,22 @@ class _CachePlane:
         self.k_c = config.k_c
         self.R_c = config.R_c
         self.r = config.r
-        n = config.n
+        self.n = n = config.n
         self.free_src = [set(range(n)) for _ in range(self.k_c)]
         self.free_dst = [set(range(n)) for _ in range(self.k_c)]
         self.n_free_src = [self.k_c] * n
         self.n_free_dst = [self.k_c] * n
-        self.pending = {}            # (src, dst) -> deque of fids, oldest first
+        self.head, self.tail = {}, {}     # waiting pair -> oldest, newest fid
+        self.wait_dst = [set() for _ in range(n)]
+        self.wait_src = [set() for _ in range(n)]
+        self.next_fid = None              # sized by reserve
         self.residual = 0.0
+        self._batch = self._batch_t = None   # the open cache_done payload, its time
+        self._batch_seq = -1                 # sim._seq right after it was scheduled
+
+    def reserve(self, n_flows):
+        """Size the FIFO links for a run of ``n_flows`` flows."""
+        self.next_fid = memoryview(np.full(n_flows, -1, np.int64))
 
     def add(self, fid, now):
         sim = self.sim
@@ -336,7 +365,15 @@ class _CachePlane:
                     return True
         if self.spill:
             return False
-        self.pending.setdefault((src, dst), deque()).append(fid)
+        pair = src * self.n + dst
+        last = self.tail.get(pair)
+        if last is None:
+            self.head[pair] = fid
+            self.wait_dst[src].add(dst)
+            self.wait_src[dst].add(src)
+        else:
+            self.next_fid[last] = fid
+        self.tail[pair] = fid
         self.residual += size
         return True
 
@@ -345,41 +382,64 @@ class _CachePlane:
         self.free_dst[s].discard(dst)
         self.n_free_src[src] -= 1
         self.n_free_dst[dst] -= 1
-        self.sim.schedule(now + self.R_c + size / self.r, "cache_done", (s, fid))
+        sim, done = self.sim, now + self.R_c + size / self.r
+        if done == self._batch_t and sim._seq == self._batch_seq:
+            self._batch.append((s, fid))
+        else:
+            self._batch, self._batch_t = [(s, fid)], done
+            sim.schedule(done, "cache_done", self._batch)
+            self._batch_seq = sim._seq
 
-    def on_event(self, payload, now):
-        s, fid = payload
+    def on_event(self, batch, now):
+        """Release the circuits of ``batch`` in start order, refilling the
+        freed ports after each."""
+        if batch is self._batch:   # a released batch takes no more circuits
+            self._batch_seq = -1
         sim = self.sim
-        src, dst, size = sim._src[fid], sim._dst[fid], sim._size[fid]
-        self.residual -= size
-        sim.delivered_bits += size
-        sim.plane_bits["cache"] += size
-        sim.record(fid, now, _CACHE, 1)
-        self.free_src[s].add(src)
-        self.free_dst[s].add(dst)
-        self.n_free_src[src] += 1
-        self.n_free_dst[dst] += 1
-        self._refill(s, src, dst, now)
+        for s, fid in batch:
+            src, dst, size = sim._src[fid], sim._dst[fid], sim._size[fid]
+            self.residual -= size
+            sim.delivered_bits += size
+            sim.plane_bits["cache"] += size
+            sim.record(fid, now, _CACHE, 1)
+            self.free_src[s].add(src)
+            self.free_dst[s].add(dst)
+            self.n_free_src[src] += 1
+            self.n_free_dst[dst] += 1
+            if self.head:
+                self._refill(s, src, dst, now)
 
     def _refill(self, s, src, dst, now):
         """Start the oldest waiting flows (ties to the smallest pair) that
         the ports ``src`` and ``dst``, just freed on switch s, let start:
         at most one from each."""
-        fs, fd, pending = self.free_src[s], self.free_dst[s], self.pending
-        arrival, size = self.sim._arrival, self.sim._size
-        while pending:
-            candidates = []
+        fs, fd, head, n = self.free_src[s], self.free_dst[s], self.head, self.n
+        arrival = self.sim._arrival
+        while head:
+            best = None
             if src in fs:
-                candidates += [(src, j) for j in fd if (src, j) in pending]
+                for j in self.wait_dst[src] & fd:
+                    key = (arrival[head[src * n + j]], src, j)
+                    if best is None or key < best:
+                        best = key
             if dst in fd:
-                candidates += [(i, dst) for i in fs if (i, dst) in pending]
-            if not candidates:
+                for i in self.wait_src[dst] & fs:
+                    key = (arrival[head[i * n + dst]], i, dst)
+                    if best is None or key < best:
+                        best = key
+            if best is None:
                 return
-            key = min(candidates, key=lambda k: (arrival[pending[k][0]], k))
-            fid = pending[key].popleft()
-            if not pending[key]:
-                del pending[key]
-            self._start(s, fid, *key, size[fid], now)
+            _, i, j = best
+            pair = i * n + j
+            fid = head[pair]
+            nxt = self.next_fid[fid]
+            if nxt < 0:
+                del head[pair], self.tail[pair]
+                self.wait_dst[i].discard(j)
+                self.wait_src[j].discard(i)
+            else:
+                head[pair] = nxt
+            self._start(s, fid, i, j, self.sim._size[fid], now)
 
 
 def _max_min_fill(flows, on_edge, capacity, edges):
@@ -675,8 +735,9 @@ class Simulator:
     def _take(self, flows: FlowTable):
         """Hold ``flows``, memoryviews over its columns, which read a flow's
         fields by id as Python numbers with no per-flow copy, and the columns
-        ``record`` fills; reject a second run, flows with a ToR id outside
-        the network, and those the expander takes but cannot route."""
+        ``record`` fills; size the planes' per-flow state; reject a second
+        run, flows with a ToR id outside the network, and those the expander
+        takes but cannot route."""
         if self._flows is not None:
             raise RuntimeError("this Simulator has already run; make a new one for each run")
         self._flows = flows
@@ -687,14 +748,21 @@ class Simulator:
         self._completion_s = np.zeros(len(flows))
         self._plane = np.full(len(flows), -1, np.int8)   # -1 until the flow completes
         self._hops = np.zeros(len(flows), np.int32)
+        if self.rotor is not None:
+            self.rotor.reserve(int(np.isin(flows.flow_class, self._codes_of(self.rotor)).sum()))
+        if self.cache is not None:
+            self.cache.reserve(len(flows))
         if self.expander is not None:   # large flows spilled here are checked when sampled
-            codes = [c for c, plane in enumerate(self._plane_of) if plane is self.expander]
-            routed = np.isin(flows.flow_class, codes)
+            routed = np.isin(flows.flow_class, self._codes_of(self.expander))
             src, dst = flows.src[routed], flows.dst[routed]
             cut = np.isinf(self.expander.dist[src, dst])
             if cut.any():
                 i = int(np.argmax(cut))
                 raise ValueError(f"no path from {src[i]} to {dst[i]} on the expander")
+
+    def _codes_of(self, plane):
+        """The class codes whose flows go to ``plane`` first."""
+        return [c for c, p in enumerate(self._plane_of) if p is plane]
 
     def _on_arrival(self, fid, t):
         self.injected_bits += self._size[fid]

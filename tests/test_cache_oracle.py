@@ -4,13 +4,16 @@
 verbatim: ``_refill`` picks the oldest waiting flow (ties to the smallest
 pair) among every waiting pair whose ports are free on the switch, by
 scanning all waiting pairs or all free port pairs, whichever set is
-smaller, and it keeps a count of waiting flows. ``add`` and ``_start``
-come with it, because they keep that count and the residual the way the
-old ``_refill`` expects; the old ``add`` is kept as ``add_flow``, which
-the plane's ``add(fid, now)`` hands the flow's columns. The plane's
-current ``_refill`` looks only at the freed source's row and the freed
-destination's column, so records, bit counts and the order in which
-circuits start must agree exactly.
+smaller, and it keeps a count of waiting flows in its own ``pending``
+dict of deques. ``add`` and ``_start`` come with it, because they keep
+that count and the residual the way the old ``_refill`` expects, and
+``_start`` schedules one ``cache_done`` event per circuit; the old
+``add`` is kept as ``add_flow``, which the plane's ``add(fid, now)``
+hands the flow's columns. The plane's current ``_refill`` looks only at
+the freed source's row and the freed destination's column, its waiting
+flows are FIFOs threaded through a flow-id array, and it releases the
+circuits that end at one instant in one event, so records, bit counts and
+the order in which circuits start must agree exactly.
 """
 from collections import deque
 from contextlib import contextmanager
@@ -27,6 +30,7 @@ from conftest import PlaneSim, at_time_zero, flow_table
 class OracleCachePlane(simulator._CachePlane):
     def __init__(self, *args):
         super().__init__(*args)
+        self.pending = {}            # (src, dst) -> deque of (arrival, fid, size)
         self.pending_count = 0
 
     def add(self, fid, now):
@@ -90,31 +94,46 @@ def oracle_cache_plane():
 
 
 class CheckedSimulator(simulator.Simulator):
-    """Logs each circuit start as ``(time, flow id)`` and checks after every
-    event that no waiting pair has both its ports free on any switch, and
-    that the plane's free-switch counts match its port sets (the oracle
-    plane keeps no counts)."""
+    """Logs each circuit start as ``(time, flow id)`` from the plane's
+    ``_start`` and checks after every event that no waiting pair has both
+    its ports free on any switch. For the current plane it also checks that
+    the free-switch counts match the port sets, that ``wait_dst`` and
+    ``wait_src`` list exactly the pairs with a head, and that each pair's
+    FIFO chain ends at its tail (the oracle plane keeps none of these)."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.starts = []
+        start = self.cache._start
 
-    def schedule(self, t, kind, payload):
-        if kind == "cache_done":
-            self.starts.append((self._clock, payload[1]))
-        super().schedule(t, kind, payload)
+        def logged_start(s, fid, *args):
+            self.starts.append((self._clock, fid))
+            start(s, fid, *args)
+
+        self.cache._start = logged_start
 
     def _check_conservation(self):
         super()._check_conservation()
         cache = self.cache
-        for (src, dst), waiting in cache.pending.items():
-            assert waiting
-            for s in range(cache.k_c):
-                assert not (src in cache.free_src[s] and dst in cache.free_dst[s])
-        if not isinstance(cache, OracleCachePlane):
-            for i in range(len(cache.n_free_src)):
+        if isinstance(cache, OracleCachePlane):
+            assert all(cache.pending.values())
+            waiting = list(cache.pending)
+        else:
+            n = cache.n
+            waiting = [divmod(pair, n) for pair in cache.head]
+            assert set(waiting) == {(i, j) for i, js in enumerate(cache.wait_dst) for j in js}
+            assert set(waiting) == {(i, j) for j, si in enumerate(cache.wait_src) for i in si}
+            assert cache.tail.keys() == cache.head.keys()
+            for pair, fid in cache.head.items():
+                while cache.next_fid[fid] >= 0:
+                    fid = cache.next_fid[fid]
+                assert fid == cache.tail[pair]
+            for i in range(n):
                 assert cache.n_free_src[i] == sum(i in fs for fs in cache.free_src)
                 assert cache.n_free_dst[i] == sum(i in fd for fd in cache.free_dst)
+        for src, dst in waiting:
+            for s in range(cache.k_c):
+                assert not (src in cache.free_src[s] and dst in cache.free_dst[s])
 
 
 def run_checked(cfg, flows, batch, **kwargs):

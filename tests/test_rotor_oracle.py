@@ -9,7 +9,9 @@ matching in one 2-D pass and keeps the pair FIFOs in a flow log, so after
 every slot the queues, the relay parking, the delivered bits and the
 relay chunk FIFOs must be equal bit for bit, and so must the records.
 The oracle's ``add`` takes the flow id, as the planes now do, and hands
-the flow's columns to the old ``add``, kept as ``add_flow``.
+the flow's columns to the old ``add``, kept as ``add_flow``; its
+``reserve``, which sizes the current plane's flow log before a run, does
+nothing, since the old plane sized nothing up front.
 
 Sizes are not whole numbers of bits, and neither is the paper profile's
 slot (``delta * r`` = 999999.9999999999 bits), so float rounding shows
@@ -59,6 +61,9 @@ class OracleRotorPlane:
         self.in_network = 0.0           # queue + relay bits, as of the last slot end
         self.scheduled = False
         self._ids = np.arange(n)
+
+    def reserve(self, n_flows):
+        pass
 
     def add(self, fid, now):
         return self.add_flow(fid, *PlaneSim.flow(self.sim, fid), now)
