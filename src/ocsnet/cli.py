@@ -176,6 +176,7 @@ def simulate(config_path, profile, sweep, seeds, out_dir, horizon_s):
             rows.append([_fmt(x), seed, _fmt(result.dct_s), _fmt(ana),
                          _fmt(rel) if result.completed else "did-not-complete",
                          result.spill_count])
+            del flows, result   # the next point's run needs none of this one's per-flow state
 
     path = _write_csv(out_dir, "simulate.csv", SIMULATE_HEADER, rows)
     click.echo(f"wrote {len(rows)} rows to {path}")

@@ -179,14 +179,20 @@ class FlowSizeDistribution:
         """Draw ``count`` sizes; returns an int64 array (bits, >= 1)."""
         if self.kind in ("empirical-histogram", "two-point-mixture"):
             idx = rng.choice(len(self.sizes), size=count, p=self.probs)
-            out = np.asarray(self.sizes)[idx]
-        elif self.kind == "log-uniform":
+            return _whole_bits(np.asarray(self.sizes))[idx]
+        if self.kind == "log-uniform":
             out = np.exp(rng.uniform(math.log(self.lower), math.log(self.upper), count))
         elif self.kind == "pareto":
             out = self.lower * (1.0 - rng.random(count)) ** (-1.0 / self.shape)
         else:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
-        return np.maximum(np.rint(out).astype(np.int64), 1)
+        return _whole_bits(out)
+
+
+def _whole_bits(sizes):
+    """``sizes`` rounded to whole bits, at least 1, as int64."""
+    bits = np.rint(sizes).astype(np.int64)
+    return np.maximum(bits, 1, out=bits)
 
 
 def default_mix() -> FlowSizeDistribution:

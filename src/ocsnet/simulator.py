@@ -693,7 +693,34 @@ class Simulator:
         order, the next one when the previous one pops, so the heap holds
         the events of the flows in flight, and events pop in the same order
         as if every arrival had been pushed up front.
+
+        However the run ends, the planes drop their reference to this
+        ``Simulator``, so no cycle keeps the run's state alive once the
+        caller drops it. When every flow completed, the records hold the
+        run's own columns rather than copies.
         """
+        try:
+            completed = self._serve(flows)
+        finally:
+            for plane in self._planes:
+                plane.sim = None
+        done = np.flatnonzero(self._plane >= 0)
+        columns = (flows.arrival_s, self._completion_s, self._plane, self._hops)
+        if len(done) < len(flows):
+            columns = (c[done] for c in columns)
+        records = Records(done, *columns)
+        return SimResult(
+            dct_s=float(records.completion_s.max(initial=0.0)),
+            records=records,
+            spill_count=self.spill_count,
+            completed=completed and len(records) == len(flows),
+            injected_bits=self.injected_bits,
+            delivered_bits=self.delivered_bits,
+            plane_bits=dict(self.plane_bits),
+        )
+
+    def _serve(self, flows: FlowTable):
+        """The event loop of ``run``; False if the horizon cut it."""
         self._take(flows)
         # stable, so tied arrivals keep id order; the view reads Python ints
         order = iter(memoryview(np.argsort(flows.arrival_s, kind="stable")))
@@ -705,12 +732,10 @@ class Simulator:
                 self.schedule(self._arrival[i], "arrival", i)
 
         schedule_next_arrival()
-        completed = True
         while self._heap:
             t, _, kind, payload = heapq.heappop(self._heap)
             if self.horizon_s is not None and t > self.horizon_s:
-                completed = False
-                break
+                return False
             self._clock = t
             if kind == "arrival":
                 schedule_next_arrival()
@@ -719,18 +744,7 @@ class Simulator:
                 self._plane_of_event[kind].on_event(payload, t)
             if self.audit:
                 self._check_conservation()
-        done = np.flatnonzero(self._plane >= 0)
-        records = Records(done, flows.arrival_s[done], self._completion_s[done],
-                          self._plane[done], self._hops[done])
-        return SimResult(
-            dct_s=float(records.completion_s.max(initial=0.0)),
-            records=records,
-            spill_count=self.spill_count,
-            completed=completed and len(records) == len(flows),
-            injected_bits=self.injected_bits,
-            delivered_bits=self.delivered_bits,
-            plane_bits=dict(self.plane_bits),
-        )
+        return True
 
     def _take(self, flows: FlowTable):
         """Hold ``flows``, memoryviews over its columns, which read a flow's
@@ -797,9 +811,10 @@ def run_batch(config: NetworkConfig, flows: FlowTable, **kwargs) -> SimResult:
 
     This matches the completion-time metric, which clocks the time to
     drain the demand collected over a window, not the streaming tail.
-    The run reads ``flows``' columns, not copies, beside a column of zero
-    arrivals, which the records carry.
+    The run reads ``flows``' columns, not copies, beside an arrival column
+    of zeros that is one broadcast value and takes no memory per flow; the
+    records of a run that completes carry that column too.
     """
-    at_zero = FlowTable(flows.src, flows.dst, flows.size_bits, np.zeros(len(flows)),
-                        flows.flow_class)
+    at_zero = FlowTable(flows.src, flows.dst, flows.size_bits,
+                        np.broadcast_to(0.0, len(flows)), flows.flow_class)
     return Simulator(config, **kwargs).run(at_zero)

@@ -78,9 +78,8 @@ def generate(spec: TrafficSpec, config: NetworkConfig) -> FlowTable:
     mean_size = dist.mean_size()
 
     if spec.model == "uniform":
-        sources = np.arange(n)
+        sources = np.arange(n, dtype=np.int32)
         rate = spec.load_x * config.k * config.r
-        dest_pool = None
     else:
         n_active = math.ceil(spec.load_x * n)
         if n_active < 2:
@@ -88,30 +87,27 @@ def generate(spec: TrafficSpec, config: NetworkConfig) -> FlowTable:
                 f"skewed model with x={spec.load_x} activates {n_active} ToRs; "
                 "need at least 2 for valid destinations"
             )
-        sources = np.sort(rng.choice(n, size=n_active, replace=False))
+        sources = np.sort(rng.choice(n, size=n_active, replace=False)).astype(np.int32)
         rate = spec.per_tor_rate_L * config.k * config.r
-        dest_pool = sources
 
     lam = rate / mean_size * spec.window_s
     counts = rng.poisson(lam, size=len(sources))
     total = int(counts.sum())
     src = np.repeat(sources, counts)
     arrivals = rng.uniform(0.0, spec.window_s, size=total)
-    sizes = dist.sample(rng, total)
-
-    # destination uniform over the pool, excluding the source
-    if dest_pool is None:
-        offs = rng.integers(1, n, size=total)
-        dst = (src + offs) % n
-    else:
-        pos = np.searchsorted(dest_pool, src)
-        offs = rng.integers(1, len(dest_pool), size=total)
-        dst = dest_pool[(pos + offs) % len(dest_pool)]
-
+    # sort by arrival first and reorder each later column as it is drawn, so
+    # one column at a time is held out of order; argsort draws nothing
     order = np.argsort(arrivals, kind="stable")
-    sizes = sizes[order]
-    return FlowTable(src[order], dst[order], sizes, arrivals[order],
-                     class_codes(sizes, config))
+    arrivals, src = arrivals[order], src[order]
+    sizes = dist.sample(rng, total)[order]
+
+    # destination uniform over the active ToRs, excluding the source
+    offs = rng.integers(1, len(sources), size=total)[order]
+    offs += np.searchsorted(sources, src)
+    offs %= len(sources)
+    dst = sources[offs]
+    del order, offs   # before the class codes and the table's checks
+    return FlowTable(src, dst, sizes, arrivals, class_codes(sizes, config))
 
 
 def demand_matrix(flows: FlowTable, n, class_filter=None) -> DemandMatrix:

@@ -1,4 +1,7 @@
+import gc
 import math
+import tracemalloc
+from pathlib import Path
 
 import click
 import pytest
@@ -7,6 +10,8 @@ from click.testing import CliRunner
 from ocsnet import config_io
 from ocsnet.cli import main, parse_sweep
 from ocsnet.topology import mean_expected_path_length
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
 
 
 class TestUnits:
@@ -235,6 +240,28 @@ class TestCommands:
         rows = (d / "simulate.csv").read_text().splitlines()[1:]
         assert [row.split(",")[1] for row in rows] == ["7", "8"]
         assert (d / "trace_x0.2_seed8.csv").exists()
+
+    def test_a_simulate_sweep_holds_one_grid_point_at_a_time(self, runner, tmp_path):
+        # hybrid-batch at a 0.3 s window, ~95k flows per seed: each point's
+        # flows, records and simulator are freed before the next point is
+        # generated, so three seeds peak as high as one
+        p = tmp_path / "cfg.txt"
+        p.write_text((WORKLOADS / "hybrid-batch.conf").read_text() + "traffic.window_s = 0.3\n")
+
+        def peak(seeds):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                out = runner.invoke(main, ["simulate", "--config", str(p),
+                                           "--seeds", str(seeds), "--sweep", "load_x=0.5:0.5:0.1",
+                                           "--out", str(tmp_path / f"seeds{seeds}")])
+                traced = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert out.exit_code == 0, out.output
+            return traced
+
+        assert peak(3) <= 1.1 * peak(1)
 
     @pytest.mark.parametrize("k_s, k_r, k_c, lacking", [
         (0, 4, 4, "k_s"), (2, 0, 4, "k_r"), (2, 4, 0, "k_c")])

@@ -1,6 +1,7 @@
 import gc
 import math
 import tracemalloc
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -134,6 +135,34 @@ class TestRun:
         assert {rec.plane for rec in rows} == {"rotor", "expander"}
         assert list(recs[:-1]) == rows[:-1] and len(recs[:-1]) == 578
         assert recs[:-1] == recs[:-1] and recs[:-1] != recs and recs != rows
+
+    @pytest.mark.parametrize("end", ["completes", "cut by the horizon", "raises"])
+    def test_a_finished_run_is_freed_without_the_cycle_collector(self, end, monkeypatch):
+        # no plane refers back to its Simulator once the run ends, however
+        # it ends, so reference counting frees the run when the caller
+        # drops the Simulator, even while the records live on
+        n = 8
+        cfg = cfg_of(n, 2, 1, 1, large_threshold_bits=5e8)
+        flows = flow_table(cfg, [(0, 1, 20 * (n - 1) * cfg.delta * cfg.r, 0.0),  # relayed
+                                 (2, 3, 1e5, 0.0), (4, 5, 1e9, 0.0)])
+        if end == "raises":
+            drain = simulator._RotorPlane._drain_chunks
+            monkeypatch.setattr(simulator._RotorPlane, "_drain_chunks",
+                                lambda plane, relay, dst, bits: drain(plane, relay, dst, bits / 2))
+        sim = simulator.Simulator(cfg, horizon_s=1e-3 if end == "cut by the horizon" else None)
+        alive = weakref.ref(sim)
+        gc.disable()
+        try:
+            if end == "raises":
+                with pytest.raises(AssertionError, match="conservation"):
+                    sim.run(flows)
+            else:
+                res = sim.run(flows)
+                assert res.completed == (end == "completes") and len(res.records) >= 1
+            del sim
+            assert alive() is None
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("horizon", [math.nan, -1.0])
     def test_nan_or_negative_horizon_rejected(self, horizon):
@@ -492,42 +521,52 @@ def _count_events(monkeypatch):
     return counts
 
 
-def _traced_hybrid_batch(window_s):
-    """``run_batch`` on hybrid-batch's network and mix at ``window_s``, under
-    tracemalloc: the flow count and the bytes the run held at its end and
-    at its peak."""
+@pytest.fixture(scope="module")
+def traced_hybrid_batch():
+    """``generate`` and then ``run_batch`` on hybrid-batch's network and mix
+    at a 0.3 s window, under tracemalloc: the flow count, the peak of
+    ``generate``, and the bytes ``run_batch``'s caller holds at its end and
+    its peak, as measured from its call."""
     mapping = config_io.load_config(WORKLOADS / "hybrid-batch.conf",
-                                    overrides={"traffic.window_s": window_s})
+                                    overrides={"traffic.window_s": 0.3})
     cfg, spec = config_io.network_config(mapping), config_io.traffic_spec(mapping)
-    flows = generate(spec, cfg)
     graph = build_expander(cfg.n, cfg.k_s, 0)
     gc.collect()
     tracemalloc.start()
     try:
+        flows = generate(spec, cfg)
+        generated = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
         res = simulator.run_batch(cfg, flows, seed=spec.seed, expander=graph)
-        gc.collect()   # the planes and their simulator refer to each other
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert res.completed
-    return len(flows), held - before, peak - before
+    assert res.completed and len(flows) == 94494
+    return len(flows), generated, held - before, peak - before
 
 
-def test_records_hold_at_most_50_bytes_per_flow():
-    n, held, _ = _traced_hybrid_batch(0.1)
-    assert n == 31526
-    assert held / n <= 50
+def test_generate_peaks_at_most_70_bytes_per_flow(traced_hybrid_batch):
+    # ~44 B/flow: 25 B/flow of columns, each reordered as it is drawn; an
+    # unordered copy of every column held at once costs 25 B/flow more
+    n, generated, _, _ = traced_hybrid_batch
+    assert generated / n <= 70
 
 
-def test_run_batch_peaks_at_most_110_bytes_per_flow():
-    # ~99 B/flow while the run reads the flow table's columns in place, the
+def test_records_hold_at_most_25_bytes_per_flow(traced_hybrid_batch):
+    # ~22 B/flow: flow id 8, completion 8, hops 4, plane 1, and the arrival
+    # column of zeros is one broadcast value; a copy of the arrivals costs 8
+    n, _, held, _ = traced_hybrid_batch
+    assert held / n <= 25
+
+
+def test_run_batch_peaks_at_most_100_bytes_per_flow(traced_hybrid_batch):
+    # ~91 B/flow while the run reads the flow table's columns in place, the
     # rotor's waiting flows are entries of its flow log and the cache's are
     # linked through one flow-id array; a per-flow Python list of any column
     # costs 8-40 B/flow more
-    n, _, peak = _traced_hybrid_batch(0.3)
-    assert n == 94494
-    assert peak / n <= 110
+    n, _, _, peak = traced_hybrid_batch
+    assert peak / n <= 100
 
 
 class TestProperties:
