@@ -23,14 +23,14 @@ _PROB_TOL = 1e-9
 class FlowSizeDistribution:
     """Discrete or parametric distribution over positive flow sizes (bits).
 
-    kind is one of ``empirical-histogram``, ``two-point-mixture``,
-    ``log-uniform`` or ``pareto``. Discrete kinds carry explicit
-    (sizes, probs) arrays; continuous kinds carry their parameters and
-    support bounds.
+    kind is one of ``discrete``, ``log-uniform`` or ``pareto``. The
+    discrete kind, which empirical histograms and two-point mixtures share,
+    carries explicit (sizes, probs) arrays; continuous kinds carry their
+    parameters and support bounds.
     """
 
     kind: str
-    sizes: tuple = ()          # discrete kinds
+    sizes: tuple = ()          # discrete kind
     probs: tuple = ()
     lower: float = 0.0         # continuous support bounds
     upper: float = math.inf
@@ -39,7 +39,7 @@ class FlowSizeDistribution:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def discrete(cls, sizes, probs, kind="empirical-histogram"):
+    def discrete(cls, sizes, probs):
         sizes = tuple(float(s) for s in sizes)
         probs = tuple(float(p) for p in probs)
         if len(sizes) != len(probs) or not sizes:
@@ -53,7 +53,7 @@ class FlowSizeDistribution:
         order = np.argsort(sizes)
         sizes = tuple(sizes[i] for i in order)
         probs = tuple(probs[i] for i in order)
-        return cls(kind=kind, sizes=sizes, probs=probs,
+        return cls(kind="discrete", sizes=sizes, probs=probs,
                    lower=sizes[0], upper=sizes[-1])
 
     @classmethod
@@ -62,8 +62,7 @@ class FlowSizeDistribution:
 
     @classmethod
     def two_point(cls, size_a, size_b, prob_a):
-        return cls.discrete([size_a, size_b], [prob_a, 1.0 - prob_a],
-                            kind="two-point-mixture")
+        return cls.discrete([size_a, size_b], [prob_a, 1.0 - prob_a])
 
     @classmethod
     def two_point_by_bytes(cls, size_a, size_b, byte_frac_a):
@@ -142,7 +141,7 @@ class FlowSizeDistribution:
         """Integral of size^moment over the density on [lo, hi)."""
         if hi <= lo:
             return 0.0
-        if self.kind in ("empirical-histogram", "two-point-mixture"):
+        if self.kind == "discrete":
             s = np.asarray(self.sizes)
             p = np.asarray(self.probs)
             mask = (s >= lo) & (s < hi)
@@ -177,7 +176,7 @@ class FlowSizeDistribution:
 
     def sample(self, rng: np.random.Generator, count):
         """Draw ``count`` sizes; returns an int64 array (bits, >= 1)."""
-        if self.kind in ("empirical-histogram", "two-point-mixture"):
+        if self.kind == "discrete":
             idx = rng.choice(len(self.sizes), size=count, p=self.probs)
             return _whole_bits(np.asarray(self.sizes))[idx]
         if self.kind == "log-uniform":

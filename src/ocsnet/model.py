@@ -201,9 +201,9 @@ class FlowTable(Table):
     and destination differ, sizes are finite and positive, and arrivals
     finite and >= 0.
 
-    ``size_bits`` is int64 as ``traffic.generate`` and ``read_trace`` make
-    it; other sizes keep whatever ``np.asarray`` makes of them, so a
-    fractional size stays exact.
+    ``size_bits`` is int64 as ``traffic.generate`` makes it; other sizes
+    keep whatever ``np.asarray`` makes of them, so a fractional size stays
+    exact.
     """
 
     _row = Flow

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import FLOW_CLASSES, FlowTable, NetworkConfig, Table
+from .model import FLOW_CLASSES, FlowClass, FlowTable, NetworkConfig, Table
 from .topology import ExpanderGraph, build_expander
 
 _TOL = 1e-6  # bits
@@ -39,6 +39,7 @@ _TOL = 1e-6  # bits
 RESULT_HEADER = ["flow_id", "arrival_s", "completion_s", "plane", "hops"]
 PLANES = ("rotor", "cache", "expander")   # Records.plane codes index this
 _ROTOR, _CACHE, _EXPANDER = range(len(PLANES))
+_LARGE = FLOW_CLASSES.index(FlowClass.LARGE)
 
 
 class FlowRecord(NamedTuple):
@@ -76,16 +77,18 @@ class _RotorPlane:
     source reaches k_r distinct destinations each slot. Relay parking
     space is capped at one slot-full per (relay, destination) pair.
 
-    ``add`` appends each flow to a flow log: entry f holds the flow id
-    ``log_fid[f]`` and the pair's bits up to and including that flow
-    ``log_target[f]``. Entries from ``n_admitted`` on wait for their slot;
-    ``_admit`` threads the admitted ones into a FIFO per (src, dst) pair
-    through ``log_next[f]``, the pair's next entry (-1 for none). ``head``
-    and ``tail``, indexed by ``src * n + dst``, hold a pair's oldest
-    undelivered entry (-1 when none is left) and its last admitted entry.
-    Entry 0 is a sink that every pair's tail starts at; its next entry is
-    never read. ``reserve`` sizes the log for the flows whose class maps to
-    the rotors; it doubles when large flows spilled here fill it.
+    ``add`` appends each flow to a flow log and links it into the FIFO of
+    its (src, dst) pair: entry f holds the flow id ``log_fid[f]``, the
+    pair's bits up to and including that flow ``log_target[f]`` and the
+    pair's next entry ``log_next[f]`` (-1 for none). ``head`` and ``tail``,
+    indexed by ``src * n + dst``, hold a pair's oldest undelivered entry (-1
+    when none is left) and its last entry; ``next_target`` holds the head's
+    target. Entry 0 is a sink with target 0 that every pair's tail starts
+    at; its next entry is never read. Entries from ``n_admitted`` on wait
+    for their slot. A waiting head is never ready: its pair has delivered
+    at most the bits admitted before it, and its target is above those by
+    its own size, more than ``_TOL`` for any flow of a bit or more.
+    ``reserve`` sizes the log for every flow the rotors may receive.
     """
 
     def __init__(self, config: NetworkConfig, sim):
@@ -103,13 +106,10 @@ class _RotorPlane:
         self.delivered = np.zeros((n, n))
         self.pair_used_relay = np.zeros((n, n), dtype=bool)
         self.head = np.full(n * n, -1)
-        self.tail = np.zeros(n * n, dtype=np.int64)
         self.next_target = np.full(n * n, np.inf)   # log_target of each head
-        self.log_fid = np.zeros(1, dtype=np.int64)
-        self.log_target = np.zeros(1)
-        self.log_next = np.zeros(1, dtype=np.int64)
+        self.tail = memoryview(np.zeros(n * n, dtype=np.int64))
+        self._heads, self._head_targets = memoryview(self.head), memoryview(self.next_target)
         self.n_log = self.n_admitted = 1
-        self.pair_total = [0.0] * (n * n)   # bits added so far per pair
         self.pending_bits = 0.0             # bits of the waiting entries
         self.in_network = 0.0           # queue + relay bits, as of the last slot end
         self.scheduled = False
@@ -121,21 +121,20 @@ class _RotorPlane:
 
     def reserve(self, n_flows):
         """Size the flow log for ``n_flows`` flows and the sink."""
-        self.log_fid, self.log_target, self.log_next = (
-            np.zeros(n_flows + 1, a.dtype)
-            for a in (self.log_fid, self.log_target, self.log_next))
-        self._fids, self._targets = memoryview(self.log_fid), memoryview(self.log_target)
+        self.log_fid = np.zeros(n_flows + 1, np.int64)
+        self.log_target = np.zeros(n_flows + 1)
+        self.log_next = np.full(n_flows + 1, -1)
+        self._fids, self._targets, self._next = map(
+            memoryview, (self.log_fid, self.log_target, self.log_next))
 
     def add(self, fid, now):
-        sim, f = self.sim, self.n_log
+        sim, f, tail = self.sim, self.n_log, self.tail
         pair, bits = sim._src[fid] * self.n + sim._dst[fid], sim._size[fid]
-        self.pair_total[pair] += bits
-        if f == self.log_fid.size:   # spilled large flows filled it: double it
-            self.log_fid, self.log_target, self.log_next = (
-                np.concatenate((a, np.zeros_like(a)))
-                for a in (self.log_fid, self.log_target, self.log_next))
-            self._fids, self._targets = memoryview(self.log_fid), memoryview(self.log_target)
-        self._fids[f], self._targets[f] = fid, self.pair_total[pair]
+        last = tail[pair]
+        self._fids[f], self._targets[f] = fid, self._targets[last] + bits
+        self._next[last] = tail[pair] = f
+        if self._heads[pair] < 0:
+            self._heads[pair], self._head_targets[pair] = f, self._targets[f]
         self.n_log = f + 1
         self.pending_bits += bits
         if not self.scheduled:
@@ -165,41 +164,24 @@ class _RotorPlane:
             self.scheduled = False
 
     def _admit(self, slot_start):
-        """Queue the waiting flows that arrived by ``slot_start`` and link
-        their log entries into their pairs' FIFOs.
+        """Queue the bits of the waiting flows that arrived by ``slot_start``.
 
         Flows are added in arrival order, so these are a prefix of the
-        waiting entries and are admitted in add order: the target ``add``
-        summed for each is the sum one ``+=`` per admitted flow of its pair
-        gives. ``np.add.at`` adds repeated pairs in index order, so each
-        queue entry gets the same float sums as one ``+=`` per flow.
-        ``pending_bits`` is reduced by a left-to-right cumsum, which
+        waiting entries. ``np.add.at`` adds repeated pairs in index order,
+        so each queue entry gets the same float sums as one ``+=`` per
+        flow. ``pending_bits`` is reduced by a left-to-right cumsum, which
         subtracts in the same order.
         """
-        flows, lo = self.sim._flows, self.n_admitted
-        fid = self.log_fid[lo:self.n_log]
+        flows = self.sim._flows
+        fid = self.log_fid[self.n_admitted:self.n_log]
         k = flows.arrival_s[fid].searchsorted(slot_start + 1e-12, side="right")
         if not k:
             return
         self.n_admitted += k
         fid = fid[:k]
-        pair = flows.src[fid] * np.int64(self.n) + flows.dst[fid]
         bits = flows.size_bits[fid].astype(float)
         self.pending_bits = float(np.cumsum(np.r_[self.pending_bits, -bits])[-1])
-        np.add.at(self._flat[0], pair, bits)
-
-        order = np.argsort(pair, kind="stable")
-        pair, idx = pair[order], lo + order
-        first = np.flatnonzero(np.r_[True, pair[1:] != pair[:-1]])
-        last = np.r_[first[1:], pair.size] - 1
-        keys = pair[first]
-        self.log_next[idx[:-1]] = idx[1:]
-        self.log_next[idx[last]] = -1
-        self.log_next[self.tail[keys]] = idx[first]
-        empty = self.head[keys] < 0
-        self.head[keys[empty]] = idx[first[empty]]
-        self.next_target[keys[empty]] = self.log_target[idx[first[empty]]]
-        self.tail[keys] = idx[last]
+        np.add.at(self._flat[0], flows.src[fid] * np.int64(self.n) + flows.dst[fid], bits)
 
     def _serve_switch(self, shift):
         """One matching: direct bits, relayed bits on their second hop, then
@@ -567,9 +549,7 @@ class _ExpanderPlane:
         return table
 
     def _sample_path(self, src, dst):
-        counts, start, cand, cdf = self._hops_to(dst)
-        if counts[src] == 0:
-            raise ValueError(f"no path from {src} to {dst} on the expander")
+        _, start, cand, cdf = self._hops_to(dst)
         path = [src]
         v = src
         while v != dst:
@@ -751,7 +731,7 @@ class Simulator:
         fields by id as Python numbers with no per-flow copy, and the columns
         ``record`` fills; size the planes' per-flow state; reject a second
         run, flows with a ToR id outside the network, and those the expander
-        takes but cannot route."""
+        may receive but cannot route."""
         if self._flows is not None:
             raise RuntimeError("this Simulator has already run; make a new one for each run")
         self._flows = flows
@@ -766,7 +746,7 @@ class Simulator:
             self.rotor.reserve(int(np.isin(flows.flow_class, self._codes_of(self.rotor)).sum()))
         if self.cache is not None:
             self.cache.reserve(len(flows))
-        if self.expander is not None:   # large flows spilled here are checked when sampled
+        if self.expander is not None:
             routed = np.isin(flows.flow_class, self._codes_of(self.expander))
             src, dst = flows.src[routed], flows.dst[routed]
             cut = np.isinf(self.expander.dist[src, dst])
@@ -775,8 +755,13 @@ class Simulator:
                 raise ValueError(f"no path from {src[i]} to {dst[i]} on the expander")
 
     def _codes_of(self, plane):
-        """The class codes whose flows go to ``plane`` first."""
-        return [c for c, p in enumerate(self._plane_of) if p is plane]
+        """The class codes of the flows ``plane`` may receive: those routed
+        to it first, and large flows if it takes the spills and the cache
+        may refuse them (there is none, or it spills)."""
+        codes = [c for c, p in enumerate(self._plane_of) if p is plane]
+        if plane is self._spill_to and (self.cache is None or self.cache.spill):
+            codes.append(_LARGE)
+        return codes
 
     def _on_arrival(self, fid, t):
         self.injected_bits += self._size[fid]

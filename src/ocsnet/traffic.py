@@ -180,7 +180,12 @@ def write_trace(flows: FlowTable, path):
 
 
 def read_trace(path) -> FlowTable:
-    """Load a ``write_trace`` CSV; a malformed row raises ValueError."""
+    """Load a ``write_trace`` CSV; a malformed row raises ValueError.
+
+    Sizes are int64 when every one is an integer literal, as in every trace
+    ``generate`` makes, and float64 otherwise, as ``write_trace`` writes
+    the sizes of a float table.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         if next(reader, None) != TRACE_HEADER:
@@ -194,8 +199,11 @@ def read_trace(path) -> FlowTable:
     except KeyError as exc:
         raise ValueError(f"{path}: unknown flow class {exc.args[0]!r}") from None
     try:
-        return FlowTable([int(v) for v in src], [int(v) for v in dst],
-                         np.array([int(v) for v in size], np.int64),
+        try:
+            size = np.array([int(v) for v in size], np.int64)
+        except ValueError:
+            size = np.array([float(v) for v in size])
+        return FlowTable([int(v) for v in src], [int(v) for v in dst], size,
                          [float(v) for v in arrival], codes)
     except (ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: {exc}") from None

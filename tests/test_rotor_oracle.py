@@ -17,7 +17,8 @@ Sizes are not whole numbers of bits, and neither is the paper profile's
 slot (``delta * r`` = 999999.9999999999 bits), so float rounding shows
 whenever the order of additions changes. Sizes are drawn from a small set
 as well, so that queue rows tie and the order ``argsort`` gives ties
-matters.
+matters. Some draws set a large-flow threshold within the drawn sizes, so
+that large flows, with no cache to take them, spill onto the rotors.
 """
 import math
 from collections import deque
@@ -232,10 +233,12 @@ def run_logged(plane, cfg, flows, batch):
         simulator._RotorPlane = original
 
 
-def cfg_of(n, k_r):
-    # the paper profile's link rate and slot; every flow goes to the rotors
+def cfg_of(n, k_r, large_threshold_bits=math.inf):
+    # the paper profile's link rate and slot; every flow goes to the rotors,
+    # those of the large class as spills, since there is no cache
     return validate(NetworkConfig(n=n, k_s=0, k_r=k_r, k_c=0, r=10e9, delta=100e-6,
-                                  R_r=10e-6, R_c=15e-3, large_threshold_bits=math.inf))
+                                  R_r=10e-6, R_c=15e-3,
+                                  large_threshold_bits=large_threshold_bits))
 
 
 _SLOT = 100e-6 * 10e9
@@ -263,7 +266,8 @@ def assert_same_states(got, want):
 def test_array_rotor_matches_the_per_source_walk(data):
     n = data.draw(st.integers(2, 12), label="n")
     k_r = data.draw(st.integers(1, n - 1), label="k_r")
-    cfg = cfg_of(n, k_r)
+    # a finite large threshold makes flows above it spill onto the rotors
+    cfg = cfg_of(n, k_r, data.draw(st.sampled_from([math.inf, 3 * _SLOT]), label="large"))
     # a few busy sources with a flow to every destination, so that spare
     # capacity relays several entries of one row, and some flows anywhere
     sources = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3,
@@ -281,6 +285,7 @@ def test_array_rotor_matches_the_per_source_walk(data):
     want, want_states = run_logged(OracleRotorPlane, cfg, flows, batch)
     assert_same_states(got_states, want_states)
     assert got.completed
+    assert got.spill_count == want.spill_count
     assert got.records == want.records
     assert got.dct_s == want.dct_s
     assert got.delivered_bits == want.delivered_bits

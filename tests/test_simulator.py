@@ -330,17 +330,21 @@ class TestCachePlane:
 
 
 class TestRotorPlane:
-    def test_flow_log_is_sized_once_and_grows_for_spills(self):
-        cfg = cfg_of(8, 0, 4, 1)
+    @pytest.mark.parametrize("k_c,policy,size,used,spills", [
+        (1, "queue", 3, 3, 0),   # the sink and the medium flows
+        (1, "spill", 5, 4, 1),   # and the large flows, one of which spills
+        (0, "queue", 5, 5, 2),   # no cache: every large flow spills
+    ])
+    def test_flow_log_is_sized_once_for_the_flows_the_rotors_may_receive(
+            self, k_c, policy, size, used, spills):
+        cfg = cfg_of(8, 0, 4, k_c)
         flows = flow_table(cfg, [(0, 1, 2e6, 0.0), (0, 2, 2e6, 0.0),    # medium
                                  (0, 1, 2e8, 0.0), (0, 2, 2e8, 0.0)])   # large
-        queue = simulator.Simulator(cfg)
-        queue.run(flows)
-        assert queue.rotor.log_fid.size == 3      # the sink and the medium flows
-        spill = simulator.Simulator(cfg, cache_policy="spill")
-        res = spill.run(flows)
-        assert res.spill_count == 1
-        assert spill.rotor.log_fid.size == 6      # doubled for the spilled flow
+        sim = simulator.Simulator(cfg, cache_policy=policy)
+        res = sim.run(flows)
+        assert res.completed and res.spill_count == spills
+        assert sim.rotor.log_fid.size == sim.rotor.log_next.size == size
+        assert sim.rotor.n_log == used
 
     def test_single_slot_flow_completes_within_one_period(self):
         cfg = cfg_of(2, 0, 1, 0, large_threshold_bits=math.inf)
@@ -486,13 +490,26 @@ class TestExpanderPlane:
             simulator.run(cfg, flows, expander=graph)
         assert not counts
 
-    def test_large_flow_spilled_to_the_expander_is_routed_on_arrival(self, monkeypatch):
-        cfg = cfg_of(16, 1, 0, 0)
-        flows = flow_table(cfg, [(0, 3, 2 * cfg.large_threshold_bits, 1e-3)])
+    @pytest.mark.parametrize("k_c,policy", [(0, "queue"), (1, "spill")])
+    def test_large_flow_that_may_spill_to_the_expander_is_checked_up_front(
+            self, monkeypatch, k_c, policy):
+        # with no rotors, large flows the cache may refuse spill to the expander
+        cfg = cfg_of(16, 1, 0, k_c)
+        flows = flow_table(cfg, [(0, 1, 2 * cfg.large_threshold_bits, 0.0),
+                                 (0, 3, 2 * cfg.large_threshold_bits, 1e-3)])
         counts = _count_events(monkeypatch)
         with pytest.raises(ValueError, match="no path from 0 to 3 on the expander"):
-            simulator.run(cfg, flows, expander=build_expander(16, 1, seed=0))
-        assert counts == {"arrival": 1}
+            simulator.run(cfg, flows, expander=build_expander(16, 1, seed=0),
+                          cache_policy=policy)
+        assert not counts
+
+    def test_large_flow_that_queues_for_the_cache_needs_no_expander_path(self):
+        cfg = cfg_of(16, 1, 0, 1)
+        flows = flow_table(cfg, [(0, 1, 2 * cfg.large_threshold_bits, 0.0),
+                                 (0, 3, 2 * cfg.large_threshold_bits, 1e-3)])
+        res = simulator.run(cfg, flows, expander=build_expander(16, 1, seed=0))
+        assert res.completed and res.spill_count == 0
+        assert {rec.plane for rec in res.records} == {"cache"}
 
     def test_small_flows_fall_back_to_rotor_without_static_switches(self):
         cfg = cfg_of(8, 0, 4, 0)

@@ -320,6 +320,14 @@ class TestTraceIO:
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
         assert read_trace(tmp_path / "got.csv") == flows
 
+    @pytest.mark.parametrize("sizes", [[2e8, 3e8], [2e8, 1234.5], [0.25, 1e16]],
+                             ids=["whole", "fractional", "tiny-and-huge"])
+    def test_float_sizes_round_trip(self, tmp_path, sizes):
+        flows = FlowTable([0, 1], [1, 2], np.array(sizes), [0.0, 0.5], [2, 1])
+        path = tmp_path / "trace.csv"
+        write_trace(flows, path)
+        assert read_trace(path) == flows   # float64 sizes: equality checks dtypes too
+
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n")
@@ -330,7 +338,8 @@ class TestTraceIO:
         ("0.5,3,3,100,small", "coincide"),
         ("0.5,3,4,0,small", "positive"),
         ("0.5,3,4,-7,small", "positive"),
-        ("0.5,3,4,1.5,small", "invalid literal"),
+        ("0.5,3,4,1.5x,small", "could not convert"),
+        ("0.5,3,4,nan,small", "positive and finite"),
         ("0.5,3.0,4,100,small", "invalid literal"),
         ("0.5,3,4,100,huge", "huge"),
         ("0.5,3,4,100", "fields"),
@@ -338,7 +347,7 @@ class TestTraceIO:
         ("nan,3,2,100,small", "arrival must be finite"),
         ("inf,3,2,100,small", "arrival must be finite"),
         ("-1.0,3,2,100,small", "arrival must be finite and >= 0"),
-    ], ids=["self-loop", "zero-size", "negative-size", "fractional-size",
+    ], ids=["self-loop", "zero-size", "negative-size", "non-numeric-size", "nan-size",
             "fractional-src", "unknown-class", "short-row", "negative-src", "nan-arrival",
             "inf-arrival", "negative-arrival"])
     def test_bad_row_rejected(self, tmp_path, row, match):
