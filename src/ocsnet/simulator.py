@@ -16,14 +16,18 @@ prescribe: small to the expander, medium to the rotors, large to the
 demand-aware switches with either FIFO queueing ("queue") or immediate
 rerouting to the rotors when no ports are free ("spill").
 
-Every plane takes flows through ``add(fid, now)``, which returns whether
-the plane took the flow, handles its own events through ``on_event(payload,
-now)``, and reports the bits it holds as ``residual``. Planes keep flow ids
-only, and read a flow's columns from the ``Simulator`` when they need them.
+A plane takes a flow through ``add(fid, now)``, which returns whether it
+took it, handles its own events through ``on_event(payload, now)`` and
+keeps its own books: the bits it holds, ``residual``, and those it has
+delivered, ``delivered_bits``. It keeps flow ids only, reads a flow's
+columns from the ``Simulator`` and calls only its ``schedule`` and
+``record``, so the order in which two planes' events pop at one instant
+changes no result.
 """
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -61,6 +65,13 @@ class Records(Table):
 
 @dataclass(frozen=True)
 class SimResult:
+    """A run's outcome: ``dct_s``, the last completion time (0.0 for none);
+    ``records``, the completed flows; ``spill_count``, the large flows the
+    cache refused; ``completed``, whether every flow completed by the
+    horizon; ``injected_bits``, the bits of the flows that arrived;
+    ``plane_bits``, the bits each plane delivered, in ``PLANES`` order (0.0
+    for an absent plane); ``delivered_bits``, their sum in that order."""
+
     dct_s: float
     records: Records
     spill_count: int
@@ -87,7 +98,7 @@ class _RotorPlane:
     at; its next entry is never read. Entries from ``n_admitted`` on wait
     for their slot. A waiting head is never ready: its pair has delivered
     at most the bits admitted before it, and its target is above those by
-    its own size, more than ``_TOL`` for any flow of a bit or more.
+    its own size, which ``Simulator._take`` requires to exceed ``_TOL``.
     ``reserve`` sizes the log for every flow the rotors may receive.
     """
 
@@ -105,6 +116,7 @@ class _RotorPlane:
         self.relay_chunks = {}          # (relay, dst) -> deque of [src, bits]
         self.delivered = np.zeros((n, n))
         self.pair_used_relay = np.zeros((n, n), dtype=bool)
+        self.delivered_bits = 0.0
         self.head = np.full(n * n, -1)
         self.next_target = np.full(n * n, np.inf)   # log_target of each head
         self.tail = memoryview(np.zeros(n * n, dtype=np.int64))
@@ -194,9 +206,7 @@ class _RotorPlane:
         queue[cell] = q - d1
         cap = self.slot_bits - d1
         delivered[cell] += d1
-        sent = float(d1.sum())
-        self.sim.delivered_bits += sent
-        self.sim.plane_bits["rotor"] += sent
+        self.delivered_bits += float(d1.sum())
         # second hop of previously relayed bits
         rt = relay_total[cell]
         d2 = np.minimum(rt, cap)
@@ -221,8 +231,7 @@ class _RotorPlane:
             src, bits = chunks[0]
             take = min(bits, amount)
             self.delivered[src, dst] += take
-            self.sim.delivered_bits += take
-            self.sim.plane_bits["rotor"] += take
+            self.delivered_bits += take
             amount -= take
             if take >= bits - _TOL / 2:
                 chunks.popleft()
@@ -307,10 +316,11 @@ class _CachePlane:
     when both are nonzero, since otherwise none can take the flow.
 
     Circuits that end at one instant are released by one ``cache_done``
-    event whose payload lists their ``(switch, fid)`` in start order.
-    ``_start`` adds a circuit to the open batch only while no other event
-    has been scheduled since the batch's was, so every event pops in the
-    same order as with one event per circuit.
+    event. Its payload lists their ``(switch, fid)`` in start order and is
+    kept in ``releases`` under its time until ``on_event`` takes it out,
+    before it releases any, so a circuit a refill starts gets a new event.
+    The planes share no number, so this gives what one event per circuit
+    gives.
     """
 
     def __init__(self, config: NetworkConfig, sim, spill):
@@ -327,10 +337,8 @@ class _CachePlane:
         self.head, self.tail = {}, {}     # waiting pair -> oldest, newest fid
         self.wait_dst = [set() for _ in range(n)]
         self.wait_src = [set() for _ in range(n)]
-        self.next_fid = None              # sized by reserve
-        self.residual = 0.0
-        self._batch = self._batch_t = None   # the open cache_done payload, its time
-        self._batch_seq = -1                 # sim._seq right after it was scheduled
+        self.residual = self.delivered_bits = 0.0
+        self.releases = {}                # release time -> [(switch, fid), ...]
 
     def reserve(self, n_flows):
         """Size the FIFO links for a run of ``n_flows`` flows."""
@@ -364,25 +372,22 @@ class _CachePlane:
         self.free_dst[s].discard(dst)
         self.n_free_src[src] -= 1
         self.n_free_dst[dst] -= 1
-        sim, done = self.sim, now + self.R_c + size / self.r
-        if done == self._batch_t and sim._seq == self._batch_seq:
-            self._batch.append((s, fid))
-        else:
-            self._batch, self._batch_t = [(s, fid)], done
-            sim.schedule(done, "cache_done", self._batch)
-            self._batch_seq = sim._seq
+        done = now + self.R_c + size / self.r
+        batch = self.releases.get(done)
+        if batch is None:
+            batch = self.releases[done] = []
+            self.sim.schedule(done, "cache_done", batch)
+        batch.append((s, fid))
 
     def on_event(self, batch, now):
         """Release the circuits of ``batch`` in start order, refilling the
         freed ports after each."""
-        if batch is self._batch:   # a released batch takes no more circuits
-            self._batch_seq = -1
+        del self.releases[now]
         sim = self.sim
         for s, fid in batch:
             src, dst, size = sim._src[fid], sim._dst[fid], sim._size[fid]
             self.residual -= size
-            sim.delivered_bits += size
-            sim.plane_bits["cache"] += size
+            self.delivered_bits += size
             sim.record(fid, now, _CACHE, 1)
             self.free_src[s].add(src)
             self.free_dst[s].add(dst)
@@ -502,7 +507,7 @@ class _ExpanderPlane:
         self.last_t = 0.0
         self.version = 0             # the pending event carries -version (fill) or version
         self._added = []             # links of the flows added since the last fill
-        self.residual = 0.0
+        self.residual = self.delivered_bits = 0.0
 
     def add(self, fid, now):
         path = self._sample_path(self.sim._src[fid], self.sim._dst[fid])
@@ -581,8 +586,7 @@ class _ExpanderPlane:
                 sent = state[1] * dt
                 state[0] -= sent
                 self.residual -= sent
-                self.sim.delivered_bits += sent
-                self.sim.plane_bits["expander"] += sent
+                self.delivered_bits += sent
         self.last_t = now
         edges, self._added = self._added, []
         if version > 0:
@@ -595,8 +599,7 @@ class _ExpanderPlane:
                         del self.on_edge[e]
                 edges += st[2]
                 self.residual -= st[0]   # tiny float remainder
-                self.sim.delivered_bits += st[0]
-                self.sim.plane_bits["expander"] += st[0]
+                self.delivered_bits += st[0]
                 self.sim.record(fid, now, _EXPANDER, len(st[2]))
         if not self.flows:
             return
@@ -606,6 +609,13 @@ class _ExpanderPlane:
 
 
 class Simulator:
+    """One run over one ``FlowTable``. ``seed`` seeds the expander's graph,
+    unless ``expander`` gives one for n and k_s, and its path draws; a
+    large flow that finds no free ports waits for them under
+    ``cache_policy="queue"`` and goes to the rotors (without rotors, the
+    expander) under ``"spill"``; ``horizon_s`` cuts the run at that
+    simulated time; ``audit`` checks bit conservation after every event."""
+
     def __init__(self, config: NetworkConfig, *, seed=0, expander=None,
                  cache_policy="queue", horizon_s=None, audit=True):
         if config.medium_threshold_bits is None or config.large_threshold_bits is None:
@@ -621,8 +631,6 @@ class Simulator:
         self._heap = []
         self.spill_count = 0
         self.injected_bits = 0.0
-        self.delivered_bits = 0.0
-        self.plane_bits = {"rotor": 0.0, "cache": 0.0, "expander": 0.0}
         self.rotor = _RotorPlane(config, self) if config.k_r > 0 else None
         self.cache = (_CachePlane(config, self, cache_policy == "spill")
                       if config.k_c > 0 else None)
@@ -637,8 +645,7 @@ class Simulator:
                     f"expander has n = {expander.n} and degree {expander.degree}; "
                     f"the config needs n = {config.n} and k_s = {config.k_s}")
             self.expander = _ExpanderPlane(expander, config, self.rng, self)
-        self._planes = [p for p in (self.rotor, self.cache, self.expander)
-                        if p is not None]
+        self._planes = [p for p in (self.rotor, self.cache, self.expander) if p]
         self._spill_to = self.rotor or self.expander
         # indexed by class code (FLOW_CLASSES); the small and medium entries
         # are None only when there is nowhere to spill, so only large flows
@@ -646,17 +653,12 @@ class Simulator:
         self._plane_of = [self.expander or self.rotor, self._spill_to, self.cache]
         self._plane_of_event = {"rotor_slot": self.rotor, "cache_done": self.cache,
                                 "expander": self.expander}
-        self._clock = 0.0
         self._flows = None   # the FlowTable of the one run
 
     def schedule(self, t, kind, payload):
         """Queue an event. Arrival i, whose payload is i, sorts as ``(t, i)``;
         the k-th other event as ``(t, len(flows) + k)``."""
-        if kind == "arrival":
-            seq = payload
-        else:
-            seq = self._seq
-            self._seq += 1
+        seq = payload if kind == "arrival" else next(self._seq)
         heapq.heappush(self._heap, (t, seq, kind, payload))
 
     def record(self, fid, t, plane, hops):
@@ -689,22 +691,20 @@ class Simulator:
         if len(done) < len(flows):
             columns = (c[done] for c in columns)
         records = Records(done, *columns)
+        plane_bits = {name: plane.delivered_bits if plane else 0.0 for name, plane
+                      in zip(PLANES, (self.rotor, self.cache, self.expander))}
         return SimResult(
-            dct_s=float(records.completion_s.max(initial=0.0)),
-            records=records,
-            spill_count=self.spill_count,
-            completed=completed and len(records) == len(flows),
-            injected_bits=self.injected_bits,
-            delivered_bits=self.delivered_bits,
-            plane_bits=dict(self.plane_bits),
-        )
+            dct_s=float(records.completion_s.max(initial=0.0)), records=records,
+            spill_count=self.spill_count, completed=completed and len(records) == len(flows),
+            injected_bits=self.injected_bits, delivered_bits=sum(plane_bits.values()),
+            plane_bits=plane_bits)
 
     def _serve(self, flows: FlowTable):
         """The event loop of ``run``; False if the horizon cut it."""
         self._take(flows)
         # stable, so tied arrivals keep id order; the view reads Python ints
         order = iter(memoryview(np.argsort(flows.arrival_s, kind="stable")))
-        self._seq = len(flows)
+        self._seq = itertools.count(len(flows))
 
         def schedule_next_arrival():
             i = next(order, None)
@@ -730,13 +730,14 @@ class Simulator:
         """Hold ``flows``, memoryviews over its columns, which read a flow's
         fields by id as Python numbers with no per-flow copy, and the columns
         ``record`` fills; size the planes' per-flow state; reject a second
-        run, flows with a ToR id outside the network, and those the expander
-        may receive but cannot route."""
+        run, flows with a ToR id outside the network or of at most ``_TOL``
+        bits, and those the expander may receive but cannot route."""
         if self._flows is not None:
             raise RuntimeError("this Simulator has already run; make a new one for each run")
         self._flows = flows
         flows._require(np.maximum(flows.src, flows.dst) < self._n,
                        f"ToR ids must be < n = {self._n}")
+        flows._require(flows.size_bits > _TOL, f"size must be above {_TOL} bits")
         self._src, self._dst, self._size, self._arrival, self._code = map(
             memoryview, flows._columns())
         self._completion_s = np.zeros(len(flows))
@@ -775,15 +776,13 @@ class Simulator:
         self._spill_to.add(fid, t)
 
     def _check_conservation(self):
-        residual = 0.0
+        held = 0.0   # bits the planes hold or have delivered
         for plane in self._planes:
-            residual += plane.residual
-        drift = self.injected_bits - self.delivered_bits - residual
-        limit = 1e-6 * max(self.injected_bits, 1.0) + 1.0
-        if abs(drift) > limit:
-            raise AssertionError(
-                f"byte conservation violated at t={self._clock}: drift {drift} bits"
-            )
+            held += plane.residual + plane.delivered_bits
+        drift = self.injected_bits - held
+        if abs(drift) > 1e-6 * max(self.injected_bits, 1.0) + 1.0:
+            raise AssertionError(f"byte conservation violated at t={self._clock}: "
+                                 f"drift {drift} bits")
 
 
 def run(config: NetworkConfig, flows: FlowTable, **kwargs) -> SimResult:

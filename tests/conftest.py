@@ -33,8 +33,6 @@ class PlaneSim:
         self._flows = flows
         self._src, self._dst, self._size, self._arrival, self._code = map(
             memoryview, flows._columns())
-        self.delivered_bits = 0.0
-        self.plane_bits = dict.fromkeys(PLANES, 0.0)
         self.events = []
         self.records = {}
 

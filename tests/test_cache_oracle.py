@@ -9,11 +9,13 @@ dict of deques. ``add`` and ``_start`` come with it, because they keep
 that count and the residual the way the old ``_refill`` expects, and
 ``_start`` schedules one ``cache_done`` event per circuit; the old
 ``add`` is kept as ``add_flow``, which the plane's ``add(fid, now)``
-hands the flow's columns. The plane's current ``_refill`` looks only at
-the freed source's row and the freed destination's column, its waiting
-flows are FIFOs threaded through a flow-id array, and it releases the
-circuits that end at one instant in one event, so records, bit counts and
-the order in which circuits start must agree exactly.
+hands the flow's columns; its release adds the bits to the plane's own
+``delivered_bits``, as every plane now does. The plane's current
+``_refill`` looks only at the freed source's row and the freed
+destination's column, its waiting flows are FIFOs threaded through a
+flow-id array, and it releases the circuits that end at one instant in
+one event, so records, bit counts and the order in which circuits start
+must agree exactly.
 """
 from collections import deque
 from contextlib import contextmanager
@@ -58,8 +60,7 @@ class OracleCachePlane(simulator._CachePlane):
     def on_event(self, payload, now):
         s, fid, src, dst, size = payload
         self.residual -= size
-        self.sim.delivered_bits += size
-        self.sim.plane_bits["cache"] += size
+        self.delivered_bits += size
         self.sim.record(fid, now, simulator.PLANES.index("cache"), 1)
         self.free_src[s].add(src)
         self.free_dst[s].add(dst)

@@ -3,9 +3,10 @@
 ``EagerSimulator`` is the previous ``Simulator`` event loop, kept verbatim
 apart from being a subclass: every arrival pushed onto the heap before the
 first event. Its rotor-slot branch no longer overwrites ``delivered_bits``
-with ``injected_bits`` less the residual, because the rotor plane now
-counts its deliveries itself, and its rotor-slot and cache-done branches
-call the planes' common ``on_event``. It loads the flow columns with
+with ``injected_bits`` less the residual, its rotor-slot and cache-done
+branches call the planes' common ``on_event``, and it builds
+``plane_bits`` and ``delivered_bits`` from the planes' own counts, because
+each plane now counts its deliveries itself. It loads the flow columns with
 ``_take`` and hands ``_on_arrival`` the flow index, and the planes write
 its records into the simulator's record columns, as in the current loop;
 it reads them back with each flow's own arrival time.
@@ -63,14 +64,16 @@ class EagerSimulator(simulator.Simulator):
             done, flows.arrival_s[done],
             self._completion_s[done], self._plane[done], self._hops[done])
         dct = max(records.completion_s.tolist(), default=0.0)
+        plane_bits = {name: plane.delivered_bits if plane else 0.0 for name, plane
+                      in zip(simulator.PLANES, (self.rotor, self.cache, self.expander))}
         return SimResult(
             dct_s=dct,
             records=records,
             spill_count=self.spill_count,
             completed=completed and len(records) == len(flows),
             injected_bits=self.injected_bits,
-            delivered_bits=self.delivered_bits,
-            plane_bits=dict(self.plane_bits),
+            delivered_bits=sum(plane_bits.values()),
+            plane_bits=plane_bits,
         )
 
 

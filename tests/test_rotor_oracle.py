@@ -11,7 +11,8 @@ relay chunk FIFOs must be equal bit for bit, and so must the records.
 The oracle's ``add`` takes the flow id, as the planes now do, and hands
 the flow's columns to the old ``add``, kept as ``add_flow``; its
 ``reserve``, which sizes the current plane's flow log before a run, does
-nothing, since the old plane sized nothing up front.
+nothing, since the old plane sized nothing up front. Like every plane now,
+it adds the bits it delivers to its own ``delivered_bits``.
 
 Sizes are not whole numbers of bits, and neither is the paper profile's
 slot (``delta * r`` = 999999.9999999999 bits), so float rounding shows
@@ -55,6 +56,7 @@ class OracleRotorPlane:
         self.delivered = np.zeros((n, n))
         self.injected_pair = {}         # (src, dst) -> bits admitted so far
         self.pair_used_relay = np.zeros((n, n), dtype=bool)
+        self.delivered_bits = 0.0
         self.pair_flows = {}
         self.next_target = np.full((n, n), np.inf)
         self.pending = []               # (arrival, src, dst, bits, fid)
@@ -136,9 +138,7 @@ class OracleRotorPlane:
         self.queue[i, j] = q - d1
         cap -= d1
         self.delivered[i, j] += d1
-        sent = float(d1.sum())
-        self.sim.delivered_bits += sent
-        self.sim.plane_bits["rotor"] += sent
+        self.delivered_bits += float(d1.sum())
         # second hop of previously relayed bits
         rt = self.relay_total[i, j]
         d2 = np.minimum(rt, cap)
@@ -161,8 +161,7 @@ class OracleRotorPlane:
             src, bits = chunks[0]
             take = min(bits, amount)
             self.delivered[src, dst] += take
-            self.sim.delivered_bits += take
-            self.sim.plane_bits["rotor"] += take
+            self.delivered_bits += take
             amount -= take
             if take >= bits - simulator._TOL / 2:
                 chunks.popleft()
