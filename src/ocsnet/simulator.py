@@ -381,20 +381,20 @@ class _CachePlane:
 
     def on_event(self, batch, now):
         """Release the circuits of ``batch`` in start order, refilling the
-        freed ports after each."""
+        freed ports after each, and record their flows at once."""
         del self.releases[now]
         sim = self.sim
         for s, fid in batch:
             src, dst, size = sim._src[fid], sim._dst[fid], sim._size[fid]
             self.residual -= size
             self.delivered_bits += size
-            sim.record(fid, now, _CACHE, 1)
             self.free_src[s].add(src)
             self.free_dst[s].add(dst)
             self.n_free_src[src] += 1
             self.n_free_dst[dst] += 1
             if self.head:
                 self._refill(s, src, dst, now)
+        sim.record([fid for _, fid in batch], now, _CACHE, 1)
 
     def _refill(self, s, src, dst, now):
         """Start the oldest waiting flows (ties to the smallest pair) that
@@ -656,8 +656,9 @@ class Simulator:
         self._flows = None   # the FlowTable of the one run
 
     def schedule(self, t, kind, payload):
-        """Queue an event. Arrival i, whose payload is i, sorts as ``(t, i)``;
-        the k-th other event as ``(t, len(flows) + k)``."""
+        """Queue an event. The arrival instant whose first flow is at
+        position k of the arrival order, its payload, sorts as ``(t, k)``;
+        the j-th other event as ``(t, len(flows) + j)``."""
         seq = payload if kind == "arrival" else next(self._seq)
         heapq.heappush(self._heap, (t, seq, kind, payload))
 
@@ -671,10 +672,14 @@ class Simulator:
         """Serve ``flows`` until all complete or the horizon passes; a
         ``Simulator`` runs once.
 
-        Arrivals enter the heap one at a time in ``(arrival_s, index)``
-        order, the next one when the previous one pops, so the heap holds
-        the events of the flows in flight, and events pop in the same order
-        as if every arrival had been pushed up front.
+        The flows are taken in ``(arrival_s, index)`` order, one event per
+        arrival instant: when it pops it hands its flows to the planes in
+        that order and queues the next instant, and the audit runs once
+        after them. Every other event sorts after the arrivals at its
+        time, so nothing happens between two arrivals at one instant, and
+        the run is the one that one event per flow, each pushed up front,
+        would give. The heap holds the events of the flows in flight and
+        one arrival.
 
         However the run ends, the planes drop their reference to this
         ``Simulator``, so no cycle keeps the run's state alive once the
@@ -703,23 +708,29 @@ class Simulator:
         """The event loop of ``run``; False if the horizon cut it."""
         self._take(flows)
         # stable, so tied arrivals keep id order; the view reads Python ints
-        order = iter(memoryview(np.argsort(flows.arrival_s, kind="stable")))
+        order = memoryview(np.argsort(flows.arrival_s, kind="stable"))
+        arrival = self._arrival
         self._seq = itertools.count(len(flows))
 
-        def schedule_next_arrival():
-            i = next(order, None)
-            if i is not None:
-                self.schedule(self._arrival[i], "arrival", i)
+        def arrive(start, t):
+            """Add the flows of the instant t from position ``start`` of the
+            order on, and queue the next instant at its first flow."""
+            for k in range(start, len(order)):
+                i = order[k]
+                if arrival[i] != t:
+                    self.schedule(arrival[i], "arrival", k)
+                    return
+                self._on_arrival(i, t)
 
-        schedule_next_arrival()
+        if len(order):
+            self.schedule(arrival[order[0]], "arrival", 0)
         while self._heap:
             t, _, kind, payload = heapq.heappop(self._heap)
             if self.horizon_s is not None and t > self.horizon_s:
                 return False
             self._clock = t
             if kind == "arrival":
-                schedule_next_arrival()
-                self._on_arrival(payload, t)
+                arrive(payload, t)
             else:
                 self._plane_of_event[kind].on_event(payload, t)
             if self.audit:

@@ -7,9 +7,10 @@ with ``injected_bits`` less the residual, its rotor-slot and cache-done
 branches call the planes' common ``on_event``, and it builds
 ``plane_bits`` and ``delivered_bits`` from the planes' own counts, because
 each plane now counts its deliveries itself. It loads the flow columns with
-``_take`` and hands ``_on_arrival`` the flow index, and the planes write
-its records into the simulator's record columns, as in the current loop;
-it reads them back with each flow's own arrival time.
+``_take`` and hands ``_on_arrival`` one flow index per event, where the
+current loop hands it every flow of an arrival instant from one event, and
+the planes write its records into the simulator's record columns, as in
+the current loop; it reads them back with each flow's own arrival time.
 ``oracle_run_batch`` is the previous ``run_batch``: it serves a copy of the
 flows with every arrival reset to zero. The planes are shared, so records,
 completion time and bit counts must agree exactly.
@@ -19,6 +20,7 @@ from collections import Counter
 from contextlib import contextmanager
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ocsnet import simulator
@@ -145,13 +147,14 @@ def test_lazy_arrivals_match_the_eager_loop(data):
                   horizon_s=data.draw(st.sampled_from([None, None, 3e-4, 2e-3]),
                                       label="horizon_s"))
 
-    for run, oracle in ((simulator.run, oracle_run),
-                        (simulator.run_batch, oracle_run_batch)):
+    for run, oracle, instants in (
+            (simulator.run, oracle_run, len(set(flows.arrival_s.tolist()))),
+            (simulator.run_batch, oracle_run_batch, 1)):
         with count_events() as counts:
             got = run(cfg, flows, **kwargs)
         assert_same_result(got, oracle(cfg, flows, **kwargs))
         if got.completed:
-            assert counts["arrival"] == len(flows)
+            assert counts["arrival"] == instants
 
 
 def test_unsorted_tied_arrivals_pop_in_index_order():
@@ -165,6 +168,61 @@ def test_unsorted_tied_arrivals_pop_in_index_order():
     assert [rec.flow_id for rec in got.records] == list(range(len(flows)))
     assert [rec.arrival_s for rec in got.records] == times
     assert_same_result(got, EagerSimulator(cfg).run(flows))
+
+
+def test_tied_arrivals_are_one_event():
+    cfg = validate(NetworkConfig(n=8, k_s=3, k_r=2, k_c=1, r=10e9,
+                                 delta=100e-6, R_r=10e-6, R_c=1e-3))
+    graph = build_expander(8, 3, 0)
+    times = [2e-4, 0.0, 2e-4, 5e-5, 0.0, 5e-5, 2e-4, 0.0]
+    sizes = [1e5, 2.5e6, 2e8]    # one of each class
+    flows = flow_table(cfg, [(i, (i + 3) % 8, sizes[i % 3], t)
+                             for i, t in enumerate(times)])
+    for run, oracle, instants in ((simulator.run, oracle_run, 3),
+                                  (simulator.run_batch, oracle_run_batch, 1)):
+        with count_events() as counts:
+            got = run(cfg, flows, expander=graph)
+        assert got.completed and counts["arrival"] == instants
+        assert_same_result(got, oracle(cfg, flows, expander=graph))
+
+
+def test_an_empty_table_completes_with_no_arrival_event():
+    cfg = validate(NetworkConfig(n=8, k_s=3, k_r=2, k_c=1, r=10e9,
+                                 delta=100e-6, R_r=10e-6, R_c=1e-3))
+    for run in (simulator.run, simulator.run_batch):
+        with count_events() as counts:
+            got = run(cfg, flow_table(cfg, []))
+        assert not counts
+        assert got.completed and got.dct_s == 0.0 and len(got.records) == 0
+        assert got.injected_bits == got.delivered_bits == 0.0
+
+
+@pytest.mark.parametrize("plane, books", [("_RotorPlane", "pending_bits"),
+                                          ("_CachePlane", "residual"),
+                                          ("_ExpanderPlane", "residual")])
+def test_audit_checks_each_flow_of_an_arrival_instant(monkeypatch, plane, books):
+    # one flow in the middle of a 1,000-flow batch loses half its bits as
+    # it is added; the audit after the instant's one event must see it
+    cfg = validate(NetworkConfig(n=16, k_s=3, k_r=2, k_c=2, r=10e9,
+                                 delta=100e-6, R_r=10e-6, R_c=1e-3))
+    sizes = [4e5, 2.5e6, 1e7]    # small, medium, large
+    flows = flow_table(cfg, [(i % 16, (i + 1 + i // 16 % 15) % 16, sizes[i % 3], 0.0)
+                             for i in range(1000)])
+    cls = getattr(simulator, plane)
+    add, lossy = cls.add, None
+
+    def leaky_add(self, fid, now):
+        nonlocal lossy
+        took = add(self, fid, now)
+        if lossy is None and 400 <= fid:
+            lossy = fid
+            setattr(self, books, getattr(self, books) - self.sim._size[fid] / 2)
+        return took
+
+    monkeypatch.setattr(cls, "add", leaky_add)
+    with pytest.raises(AssertionError, match=r"conservation .* at t=0\.0:"):
+        simulator.run_batch(cfg, flows, seed=1)
+    assert lossy is not None
 
 
 def test_arrival_tied_with_a_circuit_release_pops_first():
